@@ -8,7 +8,9 @@
  * fast paths documented in DESIGN.md "Simulator performance"): it runs
  * a fixed scenario mix — a tight ALU/branch loop that isolates
  * interpreter dispatch overhead, plus representative memory-bound
- * workloads with and without the ADORE runtime — takes the best of N
+ * workloads with and without the ADORE runtime, and gcc, the registry's
+ * largest code footprint (the superblock tier's block-cache stress
+ * case; it has no milestone baseline yet) — takes the best of N
  * repeats (min wall time; the meaningful statistic on a noisy shared
  * host), and writes the results to BENCH_simulator.json next to the
  * per-scenario baselines recorded at the previous performance
@@ -416,6 +418,8 @@ main(int argc, char **argv)
     if (want("equake_o2"))
         results.push_back(
             runWorkloadScenario("equake", false, repeats, tier));
+    if (want("gcc_o2"))
+        results.push_back(runWorkloadScenario("gcc", false, repeats, tier));
     if (want("mcf_pointer_chase_hot"))
         results.push_back(runPointerChaseHot(
             iters >= 20'000'000ULL ? 400'000ULL : 40'000ULL, repeats,

@@ -472,16 +472,22 @@ Cpu::step()
 
     // Decoded-bundle lookup through the direct-mapped cache, falling
     // back to the bounds-checked-once contiguous-span fetch.  The hit
-    // counter doubles as the execution tier's hotness signal: the
-    // superblockHotThreshold-th execution of an address (at an
-    // unchanged region cache key) promotes it to a superblock.
+    // counter doubles as the execution tier's hotness signal, and
+    // counts trace heads only: the superblockHotThreshold-th arrival at
+    // an address (at an unchanged region cache key) that did not fall
+    // through from the previous bundle promotes it to a superblock.
+    // Interior loop bundles get hot in the same iteration as their
+    // head; counting them would stitch blocks past their own back-edge
+    // that are never dispatched and evict the ones that are.
+    const bool trace_head = bundle_addr != seqNext_;
     std::uint64_t code_key = code_.cacheKey(bundle_addr);
     BundleCacheEntry &entry =
         bundleCache_[(bundle_addr / isa::bundleBytes) & bundleCacheMask_];
     const Bundle *bundle;
     if (bundle_addr == entry.addr && code_key == entry.key) {
         bundle = entry.bundle;
-        if (++entry.hits == config_.superblockHotThreshold &&
+        if (trace_head &&
+            ++entry.hits == config_.superblockHotThreshold &&
             execTierEnabled_) {
             buildSuperblockAt(bundle_addr);
         }
@@ -489,12 +495,15 @@ Cpu::step()
         bundle = code_.fetchFast(bundle_addr);
         panic_if(!bundle, "fetch outside image: 0x%llx",
                  static_cast<unsigned long long>(bundle_addr));
-        entry = {bundle_addr, code_key, bundle, 1};
-        if (config_.superblockHotThreshold == 1 && execTierEnabled_)
+        entry = {bundle_addr, code_key, bundle, trace_head ? 1u : 0u};
+        if (trace_head && config_.superblockHotThreshold == 1 &&
+            execTierEnabled_) {
             buildSuperblockAt(bundle_addr);
+        }
     }
 
     nextPc_ = bundle_addr + isa::bundleBytes;
+    seqNext_ = nextPc_;
     execBundle(*bundle, bundle_addr);
     ++issuedThisCycle_;
     pc_ = nextPc_;
@@ -563,6 +572,7 @@ Cpu::run(Cycle max_cycles)
                 } else {
                     execSuperblock(sb, max_cycles);
                 }
+                seqNext_ = ~Addr{0};  // a block exit is a trace head
                 continue;
             }
             step();

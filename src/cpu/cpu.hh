@@ -78,16 +78,17 @@ struct CpuConfig
      * training counters thrash and superblocks never form: 4 entries
      * only ever promoted loops of up to 4 bundles, which starved
      * ADORE-patched pool traces (init + prefetch bundles push the hot
-     * loop past 4).  64 matches superblockMaxBundles.  The superblock
-     * cache shares this sizing policy (same knob, same keying) since
-     * both track the bundles of the current hot region.  Host-only:
+     * loop past 4).  64 matches superblockMaxBundles.  The same value
+     * is the set count of the 4-way LRU superblock cache (same keying:
+     * both track the bundles of the current hot region).  Host-only:
      * sizing cannot affect simulated metrics.
      */
     std::uint32_t bundleCacheEntries = 64;
     /**
-     * Executions of one bundle address (at an unchanged region cache
-     * key) that trigger superblock formation: the threshold-th
-     * execution builds.  0 disables formation entirely.
+     * Non-sequential arrivals at one bundle address (taken-branch
+     * targets, block exits, setPc — never fall-through; at an unchanged
+     * region cache key) that trigger superblock formation: the
+     * threshold-th such arrival builds.  0 disables formation entirely.
      */
     std::uint32_t superblockHotThreshold = 16;
     /** Maximum bundles stitched into one superblock. */
@@ -150,7 +151,12 @@ class Cpu
     bool predReg(int i) const { return p_[static_cast<size_t>(i)]; }
     void setPredReg(int i, bool v);
     Addr pc() const { return pc_; }
-    void setPc(Addr pc) { pc_ = pc; }
+    void
+    setPc(Addr pc)
+    {
+        pc_ = pc;
+        seqNext_ = ~Addr{0};  // a redirect is never a fall-through
+    }
     /// @}
 
     /** Attach the PMU sampler (nullptr detaches). */
@@ -268,7 +274,7 @@ class Cpu
     const SuperblockStats &superblockStats() const;
     /**
      * The cached superblock headed at @p head, valid against the
-     * current image version, or null.  Side-effect-free (tests).
+     * current region generations, or null.  Side-effect-free (tests).
      */
     const Superblock *superblockAt(Addr head) const;
     /// @}
@@ -281,7 +287,8 @@ class Cpu
     /**
      * Build a superblock headed at @p head from the current image and
      * install it in the superblock cache.  Called from step() when a
-     * decoded-bundle-cache entry crosses superblockHotThreshold.
+     * decoded-bundle-cache entry's non-sequential arrivals reach
+     * superblockHotThreshold.
      */
     void buildSuperblockAt(Addr head);
 
@@ -549,6 +556,12 @@ class Cpu
     std::uint16_t fpWrittenMask_ = 0;
     bool splitIssueCharged_ = false;
     Addr nextPc_ = 0;
+    /**
+     * Fall-through successor of the last interpreted bundle (~0 after
+     * setPc or a superblock excursion).  step() compares against it to
+     * tell trace heads from interior bundles.
+     */
+    Addr seqNext_ = ~Addr{0};
     bool branchTaken_ = false;
     bool halted_ = false;
     /** Cooperative run()-loop stop flag (requestStop). Relaxed order is
@@ -596,26 +609,29 @@ class Cpu
     std::uint32_t l2LineShift_;
     /**
      * Small direct-mapped decoded-bundle cache keyed on (address,
-     * CodeImage::cacheKey).  CpuConfig::bundleCacheEntries sizes it;
-     * the default four entries cover the bundle working set of tight
-     * loops (a one-entry cache thrashes the moment a loop spans two
-     * bundles).  The region-keyed cacheKey means only mutations
+     * CodeImage::cacheKey).  CpuConfig::bundleCacheEntries sizes it
+     * (64 by default: the bundle working set of an ADORE-patched hot
+     * loop).  The region-keyed cacheKey means only mutations
      * touching an entry's own region (or reallocating its owning
      * segment) invalidate it — an ADORE patch elsewhere leaves the
-     * entry, and its hotness training, intact.  The hit counter is the
-     * execution tier's hotness signal: when an entry's hits reach
-     * superblockHotThreshold, the address is superblock-worthy.
+     * entry, and its hotness training, intact.  `hits` is the
+     * execution tier's hotness signal and counts only non-sequential
+     * arrivals (trace heads, as in Dynamo): taken-branch targets,
+     * block exits and setPc, never fall-through from the previous
+     * bundle.  When it reaches superblockHotThreshold, the address is
+     * superblock-worthy; interior loop bundles never get there.
      */
     struct BundleCacheEntry
     {
         Addr addr = ~Addr{0};
         std::uint64_t key = 0;
         const Bundle *bundle = nullptr;
-        std::uint32_t hits = 0;
+        std::uint32_t hits = 0;  ///< non-sequential arrivals
     };
     std::vector<BundleCacheEntry> bundleCache_;
     std::size_t bundleCacheMask_;
-    /** Superblock tier state (exec_tier.hh); sized like bundleCache_. */
+    /** Superblock tier state (exec_tier.hh): one 4-way set per
+     *  bundleCache_ entry. */
     std::unique_ptr<SuperblockCache> superblocks_;
     bool execTierEnabled_;             ///< CpuConfig::execTier
     /** Earliest cycle at which the sampler or a hook can fire. */

@@ -229,7 +229,7 @@ struct Superblock
 struct SuperblockStats
 {
     std::uint64_t built = 0;        ///< blocks constructed
-    std::uint64_t replaced = 0;     ///< blocks evicted by slot reuse
+    std::uint64_t replaced = 0;     ///< blocks evicted by LRU way reuse
     std::uint64_t invalidated = 0;  ///< stale blocks dropped at lookup
     std::uint64_t dispatches = 0;   ///< run()-loop entries into a block
     std::uint64_t loopTrips = 0;    ///< inline back-edge loops taken
@@ -239,12 +239,15 @@ struct SuperblockStats
 };
 
 /**
- * Direct-mapped superblock cache keyed on head bundle address, sized by
- * the same CpuConfig knob as the decoded-bundle cache (they cover the
- * same working set: the bundles of the current hot region).  A lookup
- * whose slot holds a block with a stale span-generation sum drops the
- * block (after unlinking it from the chain graph) and charges the
- * head's churn counter in the promotion table.
+ * Four-way set-associative superblock cache keyed on head bundle
+ * address, with LRU replacement.  It has CpuConfig::bundleCacheEntries
+ * sets, so the same knob sizes it and the decoded-bundle cache (they
+ * cover the same working set: the bundles of the current hot region).
+ * Four ways let the heads of neighbouring loops that share a set stay
+ * resident together instead of evicting each other on every phase
+ * repeat.  A lookup that finds a block with a stale span-generation
+ * sum drops the block (after unlinking it from the chain graph) and
+ * charges the head's churn counter in the promotion table.
  *
  * The promotion table is the profitability oracle's memory: a
  * direct-mapped side table recording, per head, how many times its
@@ -258,56 +261,79 @@ struct SuperblockStats
 class SuperblockCache
 {
   public:
-    /** @p entries must be a power of two (Cpu validates the config).
+    static constexpr std::size_t ways = 4;
+
+    /** @p sets must be a power of two (Cpu validates the config).
      *  @p max_invalidations blacklists a head after that many stale
      *  drops (0 disables churn blacklisting). */
-    explicit SuperblockCache(std::size_t entries,
+    explicit SuperblockCache(std::size_t sets,
                              std::uint32_t max_invalidations)
-        : slots_(entries), mask_(entries - 1),
+        : sets_(sets), mask_(sets - 1),
           maxInvalidations_(max_invalidations)
     {
     }
 
-    /** The valid block headed at @p head, or null.  Drops (and
-     *  unlinks) a stale occupant, charging its churn counter. */
+    /** The valid block headed at @p head, or null.  A hit becomes the
+     *  set's most recently used way; a stale occupant is dropped (and
+     *  unlinked), charging its churn counter. */
     Superblock *
     lookup(Addr head, const CodeImage &code)
     {
-        std::unique_ptr<Superblock> &slot = slotFor(head);
-        if (!slot || slot->head != head)
-            return nullptr;
-        if (code.spanGeneration(slot->head, slot->spanEnd) !=
-            slot->genSum) {
-            dropStale(slot);
-            return nullptr;
-        }
-        return slot.get();
-    }
-
-    /** Side-effect-free probe (tests): no stale-block eviction. */
-    const Superblock *
-    probe(Addr head, const CodeImage &code) const
-    {
-        const std::unique_ptr<Superblock> &slot =
-            slots_[static_cast<std::size_t>(head / isa::bundleBytes) &
-                   mask_];
-        if (slot && slot->head == head &&
-            code.spanGeneration(slot->head, slot->spanEnd) ==
-                slot->genSum) {
-            return slot.get();
+        for (Way &w : sets_[setIndex(head)]) {
+            if (w.head != head)
+                continue;
+            if (code.spanGeneration(w.sb->head, w.sb->spanEnd) !=
+                w.sb->genSum) {
+                dropStale(w);
+                return nullptr;
+            }
+            w.lastUse = ++tick_;
+            return w.sb.get();
         }
         return nullptr;
     }
 
+    /** Side-effect-free probe (tests): no stale-block eviction and no
+     *  LRU update. */
+    const Superblock *
+    probe(Addr head, const CodeImage &code) const
+    {
+        for (const Way &w : sets_[setIndex(head)]) {
+            if (w.head == head &&
+                code.spanGeneration(w.sb->head, w.sb->spanEnd) ==
+                    w.sb->genSum) {
+                return w.sb.get();
+            }
+        }
+        return nullptr;
+    }
+
+    /**
+     * Install @p sb in its set: in the way already holding the same
+     * head, else in the least recently used way.  Empty ways carry
+     * lastUse 0, below every stamp, so they fill before anything is
+     * evicted.
+     */
     void
     insert(std::unique_ptr<Superblock> sb)
     {
-        std::unique_ptr<Superblock> &slot = slotFor(sb->head);
-        if (slot) {
-            unlinkBlock(slot.get());
+        Set &set = sets_[setIndex(sb->head)];
+        Way *victim = &set[0];
+        for (Way &w : set) {
+            if (w.head == sb->head) {
+                victim = &w;
+                break;
+            }
+            if (w.lastUse < victim->lastUse)
+                victim = &w;
+        }
+        if (victim->sb) {
+            unlinkBlock(victim->sb.get());
             ++stats_.replaced;
         }
-        slot = std::move(sb);
+        victim->head = sb->head;
+        victim->lastUse = ++tick_;
+        victim->sb = std::move(sb);
         ++stats_.built;
     }
 
@@ -319,9 +345,8 @@ class SuperblockCache
     void
     invalidateBlock(Superblock *sb)
     {
-        std::unique_ptr<Superblock> &slot = slotFor(sb->head);
-        if (slot.get() == sb)
-            dropStale(slot);
+        if (Way *w = wayOf(sb))
+            dropStale(*w);
     }
 
     /**
@@ -377,16 +402,25 @@ class SuperblockCache
         e.demoted = true;
         e.gen = code.regionGeneration(sb->head);
         unlinkBlock(sb);
-        slotFor(sb->head).reset();
+        if (Way *w = wayOf(sb))
+            *w = Way{};
         ++stats_.demoted;
     }
-
-    std::size_t entries() const { return slots_.size(); }
 
     SuperblockStats &stats() { return stats_; }
     const SuperblockStats &stats() const { return stats_; }
 
   private:
+    /** One way of a set.  `head` mirrors sb->head (~0 when empty: no
+     *  bundle address is odd) so a set scan touches no block. */
+    struct Way
+    {
+        Addr head = ~Addr{0};
+        std::uint64_t lastUse = 0;  ///< tick_ at insert / last lookup hit
+        std::unique_ptr<Superblock> sb;
+    };
+    using Set = std::array<Way, ways>;
+
     struct PromoteEntry
     {
         Addr head = ~Addr{0};
@@ -395,11 +429,20 @@ class SuperblockCache
         bool demoted = false;
     };
 
-    std::unique_ptr<Superblock> &
-    slotFor(Addr head)
+    std::size_t
+    setIndex(Addr head) const
     {
-        return slots_[static_cast<std::size_t>(head / isa::bundleBytes) &
-                      mask_];
+        return static_cast<std::size_t>(head / isa::bundleBytes) & mask_;
+    }
+
+    Way *
+    wayOf(const Superblock *sb)
+    {
+        for (Way &w : sets_[setIndex(sb->head)]) {
+            if (w.sb.get() == sb)
+                return &w;
+        }
+        return nullptr;
     }
 
     PromoteEntry &
@@ -446,21 +489,22 @@ class SuperblockCache
     }
 
     void
-    dropStale(std::unique_ptr<Superblock> &slot)
+    dropStale(Way &w)
     {
-        PromoteEntry &e = promoteFor(slot->head);
-        if (e.head != slot->head) {
+        PromoteEntry &e = promoteFor(w.head);
+        if (e.head != w.head) {
             e = PromoteEntry{};
-            e.head = slot->head;
+            e.head = w.head;
         }
         ++e.invalidations;
-        unlinkBlock(slot.get());
-        slot.reset();
+        unlinkBlock(w.sb.get());
+        w = Way{};
         ++stats_.invalidated;
     }
 
-    std::vector<std::unique_ptr<Superblock>> slots_;
+    std::vector<Set> sets_;
     std::size_t mask_;
+    std::uint64_t tick_ = 0;  ///< LRU clock; stamps start at 1
     std::uint32_t maxInvalidations_;
     std::array<PromoteEntry, 64> promote_{};
     SuperblockStats stats_;

@@ -230,7 +230,7 @@ Experiment::collectMetrics(observe::MetricsRegistry &registry,
         "superblocks constructed");
     add("tier.blocks_replaced",
         static_cast<double>(metrics.superblockStats.replaced),
-        "superblocks evicted by slot reuse");
+        "superblocks evicted by LRU replacement");
     add("tier.blocks_invalidated",
         static_cast<double>(metrics.superblockStats.invalidated),
         "stale superblocks dropped at lookup");

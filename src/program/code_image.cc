@@ -29,7 +29,6 @@ CodeImage::appendText(const Bundle &bundle)
     text_.push_back(bundle);
     text_.back().padWithNops();
     text_.back().predecodeAll();
-    ++version_;
     ++textLayout_;  // push_back may reallocate: cached pointers dangle
     bumpRegions(addr, addr);
     return addr;
@@ -53,7 +52,6 @@ CodeImage::tryAllocTrace(std::size_t bundles)
         return badAddr;
     Addr addr = poolBase + pool_.size() * isa::bundleBytes;
     pool_.resize(pool_.size() + bundles);
-    ++version_;
     ++poolLayout_;  // resize may reallocate: cached pointers dangle
     if (bundles != 0)
         bumpRegions(addr, addr + (bundles - 1) * isa::bundleBytes);
@@ -72,7 +70,6 @@ CodeImage::writeBundle(Addr addr, const Bundle &bundle)
         pool_[(addr - poolBase) / isa::bundleBytes] = padded;
     else
         text_[(addr - textBase) / isa::bundleBytes] = padded;
-    ++version_;
     bumpRegions(addr, addr);
 }
 

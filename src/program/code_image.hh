@@ -112,15 +112,6 @@ class CodeImage
     }
 
     /**
-     * Monotonic mutation counter: bumped by every operation that adds,
-     * overwrites, or moves bundles (appendText, allocTrace, writeBundle,
-     * patch, unpatch).  Legacy global counter — the Cpu's caches now
-     * key on the per-region machinery below (cacheKey /
-     * spanGeneration), which this file keeps consistent with.
-     */
-    std::uint64_t version() const { return version_; }
-
-    /**
      * Per-region generation counter (DESIGN.md §12).  Every mutation
      * bumps only the 1 KiB regions its address range touches: an
      * appendText bumps the region the new bundle lands in, a trace
@@ -250,7 +241,6 @@ class CodeImage
     std::vector<Bundle> text_;
     std::vector<Bundle> pool_;
     std::unordered_map<Addr, Bundle> savedBundles_;
-    std::uint64_t version_ = 0;
     std::vector<std::uint64_t> textGens_;  ///< per-region generations, text
     std::vector<std::uint64_t> poolGens_;  ///< per-region generations, pool
     std::uint64_t textLayout_ = 0;  ///< bumped when text_ may reallocate

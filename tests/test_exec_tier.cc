@@ -7,12 +7,17 @@
  * the decoded-bundle-cache sizing knob, and sampling parity vs the
  * interpreter on mcf_o2 with ADORE attached.
  *
- * Region-keyed invalidation and chaining (this PR): direct unit tests
- * of the SuperblockCache chain graph (link / unlink-on-invalidate /
- * unlink-on-replace) and the promotion oracle (demote self-heal, churn
- * blacklist), plus a chaos-schedule test proving a patch to region A
- * never executes a stale uop from A and never invalidates a block in
- * untouched region B.
+ * Region-keyed invalidation and chaining: direct unit tests of the
+ * SuperblockCache chain graph (link / unlink-on-invalidate /
+ * unlink-on-replace), its 4-way LRU sets, and the promotion oracle
+ * (demote self-heal, churn blacklist), plus a chaos-schedule test
+ * proving a patch to region A never executes a stale uop from A and
+ * never invalidates a block in untouched region B.
+ *
+ * Trace-head formation: only non-sequential arrivals train a head, so
+ * a multi-bundle loop builds exactly one block, and gcc — whose
+ * interior loop bundles used to head never-dispatched blocks that
+ * evicted the live ones — builds a few hundred blocks and evicts none.
  */
 
 #include <gtest/gtest.h>
@@ -189,8 +194,9 @@ TEST(ExecTier, PatchEvictsAndRebuildSeesPatchedContent)
     ASSERT_NE(rig.cpu.superblockAt(addrs.head), nullptr);
     std::uint64_t epoch_before = rig.code.patchEpoch();
 
-    // ADORE-style patch of the head: bumps both the image version and
-    // the patch epoch, so the block is stale immediately.
+    // ADORE-style patch of the head: bumps the head's region
+    // generation and the patch epoch, so the block is stale
+    // immediately.
     rig.code.patch(addrs.head, addrs.halt);
     EXPECT_GT(rig.code.patchEpoch(), epoch_before);
     EXPECT_EQ(rig.cpu.superblockAt(addrs.head), nullptr);
@@ -223,6 +229,88 @@ TEST(ExecTier, PatchEvictsAndRebuildSeesPatchedContent)
     EXPECT_GE(fresh.cpu.superblockStats().built, 1u);
     EXPECT_GT(fresh.cpu.superblockStats().loopTrips, 0u);
     EXPECT_EQ(fresh.cpu.intReg(2), 500);  // 100 trips x step 5
+}
+
+/**
+ * A four-bundle counted loop run from kText:
+ *
+ *   bundle 0 (kText):  movi r1, <iters>
+ *   bundle 1 (head):   addi r2, 1, r2
+ *   bundle 2:          addi r3, 1, r3
+ *   bundle 3:          addi r1, -1, r1
+ *   bundle 4 (tail):   cmp.ne p1 = r1, r0 | br.p1 -> head
+ *   bundle 5:          halt
+ *
+ * Every loop bundle executes equally often, but only the head is ever
+ * reached other than by fall-through.
+ */
+LoopAddrs
+commitLongLoop(CodeImage &code, std::int64_t iters)
+{
+    LoopAddrs addrs;
+    addrs.head = kText + isa::bundleBytes;
+    addrs.tail = kText + 4 * isa::bundleBytes;
+    addrs.halt = kText + 5 * isa::bundleBytes;
+
+    CodeBuffer buf;
+    Bundle setup;
+    setup.add(build::movi(1, iters));
+    buf.append(setup);
+    for (int reg : {2, 3}) {
+        Bundle body;
+        body.add(build::addi(reg, 1, reg));
+        buf.append(body);
+    }
+    Bundle dec;
+    dec.add(build::addi(1, -1, 1));
+    buf.append(dec);
+    Bundle tail;
+    tail.add(build::cmp(Opcode::CmpNe, 1, 1, 0));
+    tail.add(build::br(1, addrs.head));
+    buf.append(tail);
+    Bundle stop;
+    stop.add(build::halt());
+    buf.append(stop);
+
+    buf.commitToText(code);
+    return addrs;
+}
+
+TEST(ExecTier, OnlyTheLoopHeadHeadsABlock)
+{
+    CpuConfig ccfg;
+    ccfg.superblockHotThreshold = 4;
+
+    // Through run(): the loop head is promoted, its block loops in
+    // place, and the exit to the halt bundle is a single arrival.
+    TierRig rig(ccfg);
+    LoopAddrs addrs = commitLongLoop(rig.code, 1000);
+    rig.cpu.setPc(kText);
+    EXPECT_TRUE(rig.cpu.run(~Cycle{0}).halted);
+    EXPECT_EQ(rig.cpu.intReg(2), 1000);
+    EXPECT_EQ(rig.cpu.superblockStats().built, 1u);
+    EXPECT_EQ(rig.cpu.superblockStats().replaced, 0u);
+    const Superblock *sb = rig.cpu.superblockAt(addrs.head);
+    ASSERT_NE(sb, nullptr);
+    EXPECT_TRUE(sb->loopBack);
+    EXPECT_EQ(sb->bundles, 4u);
+
+    // Through step() alone nothing is ever dispatched, so every bundle
+    // is interpreted 1000 times: the interior bundles reach the
+    // threshold in the same iteration as the head, yet only
+    // fall-through ever reaches them, so none heads a block.
+    TierRig stepped(ccfg);
+    commitLongLoop(stepped.code, 1000);
+    stepped.cpu.setPc(kText);
+    while (stepped.cpu.step()) {
+    }
+    EXPECT_EQ(stepped.cpu.intReg(3), 1000);
+    EXPECT_EQ(stepped.cpu.superblockStats().built, 1u);
+    EXPECT_NE(stepped.cpu.superblockAt(addrs.head), nullptr);
+    for (Addr a = addrs.head + isa::bundleBytes; a <= addrs.halt;
+         a += isa::bundleBytes) {
+        EXPECT_EQ(stepped.cpu.superblockAt(a), nullptr) << a;
+    }
 }
 
 TEST(ExecTier, SelfLoopBackEdgeMatchesInterpreter)
@@ -338,6 +426,33 @@ TEST(ExecTier, SamplingParityOnMcfWithAdore)
               direct.adoreStats.pointerPrefetches);
     EXPECT_EQ(interp.execTier, ExecTier::Interpreter);
     EXPECT_EQ(direct.execTier, ExecTier::DirectThreaded);
+}
+
+/**
+ * gcc's superblock thrash, pinned deterministically: at restricted O2
+ * in the direct tier its loop heads must fit the 4-way sets with no
+ * eviction, ADORE off and on.  When interior loop bundles headed
+ * blocks, every one of gcc's phase repeats rebuilt them (157,324
+ * builds, 157,260 evictions with ADORE off).  The counters are a
+ * function of (program, config) alone, so host speed cannot flake it.
+ */
+TEST(ExecTier, GccO2BuildsFewBlocksAndEvictsNone)
+{
+    setVerbose(false);
+    hir::Program prog = workloads::make("gcc");
+    for (bool adore : {false, true}) {
+        RunConfig cfg;
+        cfg.compile.level = OptLevel::O2;
+        cfg.compile.softwarePipelining = false;
+        cfg.compile.reserveAdoreRegs = true;
+        cfg.adore = adore;
+        if (adore)
+            cfg.adoreConfig = Experiment::defaultAdoreConfig();
+        RunMetrics m = Experiment::run(prog, cfg);
+        EXPECT_TRUE(m.halted) << "adore=" << adore;
+        EXPECT_EQ(m.superblockStats.replaced, 0u) << "adore=" << adore;
+        EXPECT_LT(m.superblockStats.built, 512u) << "adore=" << adore;
+    }
 }
 
 /** Non-loop regions: a BrCall ends the region; the block still forms
@@ -486,15 +601,64 @@ TEST(ExecTier, ChainUnlinkWhenTargetIsReplaced)
     auto b_up = mkBlock(code, 66);
     Superblock *a = a_up.get();
     Superblock *b = b_up.get();
+    Addr b_head = b->head;
     cache.insert(std::move(a_up));
     cache.insert(std::move(b_up));
     cache.link(a, b->head, b);
 
-    // Inserting a block that maps to b's slot (66 and 58 collide in an
-    // 8-entry direct-mapped cache) evicts b; a's link must be nulled.
-    cache.insert(mkBlock(code, 58));
+    // Fill b's set (bundles 66, 2, 10, 18, 26 all map to set 2 of 8)
+    // with `ways` more heads: the last insert finds no free way and
+    // evicts the least recently used one, b.  a's link must be nulled.
+    for (std::size_t i = 0; i < SuperblockCache::ways; ++i)
+        cache.insert(mkBlock(code, 2 + 8 * static_cast<int>(i)));
     EXPECT_EQ(cache.stats().replaced, 1u);
+    EXPECT_EQ(cache.probe(b_head, code), nullptr);
     EXPECT_EQ(a->chains[0].to, nullptr);
+    EXPECT_EQ(cache.lookup(a->head, code), a);
+}
+
+TEST(ExecTier, CollidingHeadsShareASet)
+{
+    CodeImage code;
+    commitNopText(code, 70);
+    SuperblockCache cache(8, 0);
+
+    // Bundles 1, 9, 17, 25 map to the same set of an 8-set cache (a
+    // direct-mapped cache would keep only the last one).
+    for (int i = 0; i < 4; ++i)
+        cache.insert(mkBlock(code, 1 + 8 * i));
+    EXPECT_EQ(cache.stats().built, 4u);
+    EXPECT_EQ(cache.stats().replaced, 0u);
+    for (int i = 0; i < 4; ++i) {
+        Addr head = kText + static_cast<Addr>(1 + 8 * i) * isa::bundleBytes;
+        const Superblock *sb = cache.lookup(head, code);
+        ASSERT_NE(sb, nullptr) << "bundle " << 1 + 8 * i;
+        EXPECT_EQ(sb->head, head);
+    }
+}
+
+TEST(ExecTier, LruEvictsLeastRecentlyLookedUpWay)
+{
+    CodeImage code;
+    commitNopText(code, 70);
+    SuperblockCache cache(8, 0);
+    auto headOf = [](int idx) {
+        return kText + static_cast<Addr>(idx) * isa::bundleBytes;
+    };
+
+    for (int idx : {1, 9, 17, 25})
+        cache.insert(mkBlock(code, idx));
+    // Look up every way but 17's: 17 becomes the LRU way even though
+    // 1 was inserted first.  probe() must not count as a use.
+    for (int idx : {1, 9, 25})
+        ASSERT_NE(cache.lookup(headOf(idx), code), nullptr);
+    ASSERT_NE(cache.probe(headOf(17), code), nullptr);
+
+    cache.insert(mkBlock(code, 33));
+    EXPECT_EQ(cache.stats().replaced, 1u);
+    EXPECT_EQ(cache.probe(headOf(17), code), nullptr);
+    for (int idx : {1, 9, 25, 33})
+        EXPECT_NE(cache.probe(headOf(idx), code), nullptr) << idx;
 }
 
 TEST(ExecTier, OracleDemoteUnlinksBlacklistsAndSelfHeals)
