@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/experiment.hh"
 #include "support/logging.hh"
 #include "workloads/workloads.hh"
@@ -31,6 +33,16 @@ struct Golden
     std::uint64_t retired;
     std::uint64_t dearMisses;
 };
+
+// Print the case by name.  Without this, gtest prints the raw bytes of the
+// struct, including the address held in `name`, so the listed test name (and
+// the CTest name discovered from it) changed with every build and every run
+// under address-space randomization.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.name << (g.adore ? "_adore" : "_base");
+}
 
 // Snapshot taken from the seed interpreter (commit 949ff9d) at
 // maxCycles = 30'000'000, restricted O2, defaultAdoreConfig().
