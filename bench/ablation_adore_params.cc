@@ -22,7 +22,6 @@ using namespace adore::bench;
 int
 main()
 {
-    setVerbose(false);
     printHeader("Ablations — ADORE design parameters");
 
     CompileOptions o2 = restrictedOptions(OptLevel::O2);

@@ -18,24 +18,12 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "support/logging.hh"
 #include "support/table.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workloads.hh"
 
 namespace adore::bench
 {
-
-/** The paper's *restricted* compilation: no SWP, ADORE regs reserved. */
-inline CompileOptions
-restrictedOptions(OptLevel level)
-{
-    CompileOptions opts;
-    opts.level = level;
-    opts.softwarePipelining = false;
-    opts.reserveAdoreRegs = true;
-    return opts;
-}
 
 /** The paper's *original* compilation: SWP on, no registers reserved. */
 inline CompileOptions

@@ -17,7 +17,6 @@ using namespace adore::bench;
 int
 main()
 {
-    setVerbose(false);
     printHeader("Fig. 7(a) — O2 + Runtime Prefetching vs O2 (restricted)");
 
     CompileOptions o2 = restrictedOptions(OptLevel::O2);

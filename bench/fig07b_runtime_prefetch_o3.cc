@@ -17,7 +17,6 @@ using namespace adore::bench;
 int
 main()
 {
-    setVerbose(false);
     printHeader("Fig. 7(b) — O3 + Runtime Prefetching vs O3 (restricted)");
 
     CompileOptions o3 = restrictedOptions(OptLevel::O3);

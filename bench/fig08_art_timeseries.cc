@@ -52,7 +52,6 @@ values(const adore::TimeSeries &series, adore::Cycle span,
 int
 main()
 {
-    setVerbose(false);
     printHeader("Fig. 8 — Runtime Prefetching for 179.art (time series)");
 
     RunConfig base_cfg;

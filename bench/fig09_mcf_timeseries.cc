@@ -51,7 +51,6 @@ values(const adore::TimeSeries &series, adore::Cycle span,
 int
 main()
 {
-    setVerbose(false);
     printHeader("Fig. 9 — Runtime Prefetching for 181.mcf (time series)");
 
     RunConfig base_cfg;

@@ -16,7 +16,6 @@ using namespace adore::bench;
 int
 main()
 {
-    setVerbose(false);
     printHeader("Fig. 10 — O2 with SWP + no reserved registers vs "
                 "restricted O2");
 

@@ -16,7 +16,6 @@ using namespace adore::bench;
 int
 main()
 {
-    setVerbose(false);
     printHeader("Fig. 11 — Overhead of Runtime Prefetching "
                 "(sampling + phase detection, no prefetch insertion)");
 

@@ -328,8 +328,6 @@ runWorkloadScenario(const std::string &name, bool adore, int repeats,
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
-
     std::string out_path = "BENCH_simulator.json";
     std::string only;
     int repeats = 5;

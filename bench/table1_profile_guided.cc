@@ -21,7 +21,6 @@ using namespace adore::bench;
 int
 main()
 {
-    setVerbose(false);
     printHeader("Table 1 — Profile-Guided Static Prefetching (ORC-like)");
 
     Table table({"Spec2000", "loops O3", "loops O3+Profile", "time O3",

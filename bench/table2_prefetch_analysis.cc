@@ -19,7 +19,6 @@ using namespace adore::bench;
 int
 main()
 {
-    setVerbose(false);
     printHeader("Table 2 — Prefetching Data Analysis (O2 + RP)");
 
     CompileOptions o2 = restrictedOptions(OptLevel::O2);

@@ -12,7 +12,6 @@
 #include <cstring>
 
 #include "harness/experiment.hh"
-#include "support/logging.hh"
 #include "workloads/workloads.hh"
 
 using namespace adore;
@@ -20,7 +19,6 @@ using namespace adore;
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
     std::string name = argc > 1 ? argv[1] : "art";
     bool o3 = argc > 2 && std::strcmp(argv[2], "o3") == 0;
 

@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "harness/experiment.hh"
-#include "support/logging.hh"
 #include "workloads/common.hh"
 
 using namespace adore;
@@ -110,7 +109,6 @@ runCase(const char *label, const hir::Program &prog)
 int
 main()
 {
-    setVerbose(false);
     std::printf("ADORE pattern playground (paper Fig. 5 / Fig. 6)\n\n");
     runCase("direct", directCase());
     runCase("indirect", indirectCase());

@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "harness/experiment.hh"
-#include "support/logging.hh"
 #include "workloads/workloads.hh"
 
 using namespace adore;
@@ -18,7 +17,6 @@ using namespace adore;
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
     std::string name = argc > 1 ? argv[1] : "fma3d";
     hir::Program prog = workloads::make(name);
 

@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "harness/experiment.hh"
-#include "support/logging.hh"
 #include "workloads/common.hh"
 
 using namespace adore;
@@ -19,8 +18,6 @@ using namespace adore;
 int
 main()
 {
-    setVerbose(false);
-
     // --- 1. Describe a workload in the compiler's HIR. -----------------
     hir::Program prog;
     prog.name = "quickstart";

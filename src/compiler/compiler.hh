@@ -52,6 +52,17 @@ struct CompileOptions
     std::uint64_t dataSeed = 1;
 };
 
+/** The paper's *restricted* compilation: no SWP, ADORE regs reserved. */
+inline CompileOptions
+restrictedOptions(OptLevel level)
+{
+    CompileOptions opts;
+    opts.level = level;
+    opts.softwarePipelining = false;
+    opts.reserveAdoreRegs = true;
+    return opts;
+}
+
 /** Per-loop compilation facts, consumed by tests and the benches. */
 struct LoopCompileInfo
 {

@@ -55,7 +55,7 @@ struct SuperblockStats;
  * through step(); DirectThreaded additionally promotes hot regions into
  * flattened superblocks executed with pre-bound handler dispatch.  Both
  * tiers produce bit-identical simulated results (metrics, sampler
- * accounting, decision-event streams — tests/test_tier_toggle.cc), so
+ * accounting, decision-event streams — tests/test_toggle_sweep.cc), so
  * DirectThreaded is the default; Interpreter remains the oracle the
  * toggle tests compare against.
  */
@@ -94,23 +94,13 @@ struct CpuConfig
     /** Maximum bundles stitched into one superblock. */
     std::uint32_t superblockMaxBundles = 64;
     /**
-     * Build-time peephole fusion of adjacent uop pairs (compare+branch,
-     * address-gen+load, load+use) and the loop-tail patterns into
-     * combined handlers.  Pure host optimization — the fused handlers
-     * are exact concatenations of the unfused ones, pinned bit-identical
-     * across the registry by tests/test_tier_toggle.cc.
+     * Build-time peephole fusion of compare+branch pairs and the
+     * loop-tail patterns into combined handlers.  Pure host
+     * optimization — the fused handlers are exact concatenations of the
+     * unfused ones, pinned bit-identical across the registry by
+     * tests/test_toggle_sweep.cc.
      */
     bool superblockFusion = true;
-    /**
-     * Also fuse the load-carrying pairs (address-gen+load, load+use)
-     * when superblockFusion is on.  Default-off: on the reference host
-     * executing the combined load handlers measures as a net host-side
-     * loss (mcf_o2 84.3 -> 76.7 sim-MIPS), while compare+branch and
-     * loop-tail fusion measure as a win.  The handlers stay built and
-     * bit-identity-pinned either way (the tier-toggle sweep's fusion-on
-     * variants enable every pattern).
-     */
-    bool superblockFuseLoads = false;
     /**
      * Chain block exits straight into the target block's uops instead
      * of returning to the run() dispatch loop, keeping the hoisted

@@ -10,7 +10,7 @@
  * written to mirror Cpu::execInsn / execBranch / step() statement for
  * statement — ordering of memory-model calls, DEAR/BTB reporting,
  * predictor updates, and cycle charges is load-bearing for the
- * bit-identity contract (tests/test_tier_toggle.cc).
+ * bit-identity contract (tests/test_toggle_sweep.cc).
  *
  * Exit discipline: the executor leaves the block whenever the event
  * watermark fires (after servicing it exactly as step() does).  All
@@ -83,42 +83,22 @@ isCmp(Opcode op)
 /**
  * Build-time peephole: can the adjacent same-bundle pair (a, b) run as
  * one combined handler?  Every pair kind's handler is the exact
- * concatenation of the two plain handlers, so fusion is legal for any
- * adjacent non-branch-terminated pair — the set below just names the
- * combinations hot enough to deserve a handler: compare feeding a side
- * exit, address generation feeding a load, and a load feeding its
- * induction/use step.
+ * concatenation of the two plain handlers; the one pair hot enough to
+ * pay for a handler is a compare feeding a side-exit branch.  (Fusing
+ * address generation into loads measured as a net host loss.)
  */
 bool
-fusePair(const Uop &a, const Uop &b, bool fuse_loads, UopKind &fused)
+fusePair(const Uop &a, const Uop &b, UopKind &fused)
 {
-    if (b.kind == UopKind::Br) {
-        switch (a.kind) {
-          case UopKind::CmpLt: fused = UopKind::CmpLtBr; return true;
-          case UopKind::CmpLe: fused = UopKind::CmpLeBr; return true;
-          case UopKind::CmpEq: fused = UopKind::CmpEqBr; return true;
-          case UopKind::CmpNe: fused = UopKind::CmpNeBr; return true;
-          default: return false;
-        }
-    }
-    if (!fuse_loads)
+    if (b.kind != UopKind::Br)
         return false;
-    if (b.kind == UopKind::Ld) {
-        if (a.kind == UopKind::Addi) {
-            fused = UopKind::AddiLd;
-            return true;
-        }
-        if (a.kind == UopKind::Shladd) {
-            fused = UopKind::ShladdLd;
-            return true;
-        }
-        return false;
+    switch (a.kind) {
+      case UopKind::CmpLt: fused = UopKind::CmpLtBr; return true;
+      case UopKind::CmpLe: fused = UopKind::CmpLeBr; return true;
+      case UopKind::CmpEq: fused = UopKind::CmpEqBr; return true;
+      case UopKind::CmpNe: fused = UopKind::CmpNeBr; return true;
+      default: return false;
     }
-    if (a.kind == UopKind::Ld && b.kind == UopKind::Addi) {
-        fused = UopKind::LdAddi;
-        return true;
-    }
-    return false;
 }
 
 UopKind
@@ -259,12 +239,11 @@ Cpu::buildSuperblockAt(Addr head)
             tmp.push_back(uop);
         }
         if (fusion && tmp.size() >= 2) {
-            const bool fuse_loads = config_.superblockFuseLoads;
             std::size_t w = 0;
             for (std::size_t rd = 0; rd < tmp.size(); ++rd) {
                 UopKind fused;
                 if (rd + 1 < tmp.size() &&
-                    fusePair(tmp[rd], tmp[rd + 1], fuse_loads, fused)) {
+                    fusePair(tmp[rd], tmp[rd + 1], fused)) {
                     Uop pair = tmp[rd];
                     pair.kind = fused;
                     pair.insn2 = tmp[rd + 1].insn;
@@ -601,12 +580,9 @@ Cpu::buildSuperblockAt(Addr head)
     } while (0)
 
 /*
- * Shared instruction bodies for the fused-pair handlers.  Each is the
- * full execInsn-mirroring body of one plain handler (predication,
- * source waits, writeback, retire) parameterized on which of the uop's
- * two instruction copies it reads — so a pair handler is literally the
- * two plain bodies back to back with one dispatch saved, and the plain
- * handlers use the same macros, keeping the copies impossible to drift.
+ * Instruction bodies of the Ld, Addi and Shladd handlers: each is the
+ * full execInsn-mirroring body (predication, source waits, writeback,
+ * retire) of the instruction it is given.
  */
 #define SB_LD_BODY(ldinsn, ldpc)                                        \
     do {                                                                \
@@ -1144,27 +1120,6 @@ dispatch:
     SB_CMP_BR_CASE(CmpLeBr, r_[insn.rs1] <= r_[insn.rs2])
     SB_CMP_BR_CASE(CmpEqBr, r_[insn.rs1] == r_[insn.rs2])
     SB_CMP_BR_CASE(CmpNeBr, r_[insn.rs1] != r_[insn.rs2])
-
-    SB_CASE(AddiLd)
-    {
-        SB_ADDI_BODY(u->insn);
-        SB_LD_BODY(u->insn2, u->insnPc2);
-        SB_NEXT();
-    }
-
-    SB_CASE(ShladdLd)
-    {
-        SB_SHLADD_BODY(u->insn);
-        SB_LD_BODY(u->insn2, u->insnPc2);
-        SB_NEXT();
-    }
-
-    SB_CASE(LdAddi)
-    {
-        SB_LD_BODY(u->insn, u->insnPc);
-        SB_ADDI_BODY(u->insn2);
-        SB_NEXT();
-    }
 
 #if !ADORE_SB_THREADED
     }

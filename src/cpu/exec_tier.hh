@@ -19,7 +19,7 @@
  * limits, stall-on-use waits, split-issue charges, DEAR/BTB reporting,
  * the PMU event watermark), so metrics, sampler accounting, and
  * decision-event streams are bit-identical with the tier on or off
- * (tests/test_tier_toggle.cc).
+ * (tests/test_toggle_sweep.cc).
  *
  * Lifecycle (region-keyed, DESIGN.md §12): a superblock records the
  * sum of the CodeImage per-region generation counters over its bundle
@@ -50,6 +50,7 @@
 #include "isa/bundle.hh"
 #include "isa/insn.hh"
 #include "program/code_image.hh"
+#include "support/stat_fields.hh"
 
 namespace adore
 {
@@ -78,9 +79,6 @@ namespace adore
  *                    loop tail)
  *  - Cmp**Br       = the same `cmp ; br` pair anywhere else in the
  *                    region (interior side exits)
- *  - AddiLd/ShladdLd = address generation feeding a load (the two
- *                    addressing idioms the compiler emits)
- *  - LdAddi        = a load followed by an ALU use/induction step
  * The pair kinds are produced by the build-time peephole pass, gated
  * by CpuConfig::superblockFusion.
  */
@@ -127,10 +125,7 @@ namespace adore
     X(CmpLtBr)                                                          \
     X(CmpLeBr)                                                          \
     X(CmpEqBr)                                                          \
-    X(CmpNeBr)                                                          \
-    X(AddiLd)                                                           \
-    X(ShladdLd)                                                         \
-    X(LdAddi)
+    X(CmpNeBr)
 
 enum class UopKind : std::uint8_t
 {
@@ -225,17 +220,31 @@ struct Superblock
     /// @}
 };
 
+/** SuperblockStats fields, X(type, member, metric, description, class)
+ *  (support/stat_fields.hh); exported as "tier.<metric>".  All Host:
+ *  they count the host's block cache, not the simulated machine. */
+#define ADORE_SUPERBLOCK_STATS(X)                                      \
+    X(std::uint64_t, built, "blocks_built", "superblocks constructed", Host) \
+    X(std::uint64_t, replaced, "blocks_replaced",                      \
+      "superblocks evicted by LRU replacement", Host)                  \
+    X(std::uint64_t, invalidated, "blocks_invalidated",                \
+      "stale superblocks dropped at lookup", Host)                     \
+    X(std::uint64_t, dispatches, "dispatches",                         \
+      "run()-loop entries into a superblock", Host)                    \
+    X(std::uint64_t, loopTrips, "loop_trips",                          \
+      "inline superblock back-edges taken", Host)                      \
+    X(std::uint64_t, chained, "chained",                               \
+      "direct block-to-block transitions (no interpreter round-trip)", \
+      Host)                                                            \
+    X(std::uint64_t, demoted, "blocks_demoted",                        \
+      "superblocks removed by the profitability oracle", Host)         \
+    X(std::uint64_t, fusedPairs, "fused_pairs",                        \
+      "instruction pairs fused into combined uops at build", Host)
+
 /** Host-side tier accounting (no simulated-timing meaning). */
 struct SuperblockStats
 {
-    std::uint64_t built = 0;        ///< blocks constructed
-    std::uint64_t replaced = 0;     ///< blocks evicted by LRU way reuse
-    std::uint64_t invalidated = 0;  ///< stale blocks dropped at lookup
-    std::uint64_t dispatches = 0;   ///< run()-loop entries into a block
-    std::uint64_t loopTrips = 0;    ///< inline back-edge loops taken
-    std::uint64_t chained = 0;      ///< block-to-block direct transitions
-    std::uint64_t demoted = 0;      ///< blocks removed by the oracle
-    std::uint64_t fusedPairs = 0;   ///< instruction pairs fused at build
+    ADORE_STAT_FIELDS(SuperblockStats, ADORE_SUPERBLOCK_STATS)
 };
 
 /**

@@ -37,6 +37,7 @@
 #include <cstdint>
 
 #include "support/rng.hh"
+#include "support/stat_fields.hh"
 
 namespace adore::fault
 {
@@ -100,18 +101,32 @@ struct FaultConfig
     }
 };
 
+/** FaultStats fields, X(type, member, metric, description, class)
+ *  (support/stat_fields.hh); exported as "fault.<metric>". */
+#define ADORE_FAULT_STATS(X)                                           \
+    X(std::uint64_t, batchesDropped, "batches_dropped",                \
+      "SSB overflow batches dropped before the UEB", Sim)              \
+    X(std::uint64_t, batchesDuplicated, "batches_duplicated",          \
+      "SSB overflow batches delivered twice", Sim)                     \
+    X(std::uint64_t, dearAliased, "dear_aliased",                      \
+      "DEAR miss addresses aliased", Sim)                              \
+    X(std::uint64_t, countersJittered, "counters_jittered",            \
+      "samples with jittered PMU counters", Sim)                       \
+    X(std::uint64_t, btbCorrupted, "btb_corrupted",                    \
+      "samples with corrupted BTB paths", Sim)                         \
+    X(std::uint64_t, patchesFailed, "patches_failed",                  \
+      "trace commits refused by injected patch failure", Sim)          \
+    X(std::uint64_t, optimizerStalls, "optimizer_stalls",              \
+      "injected optimizer stalls (watchdog channel)", Sim)             \
+    X(std::uint64_t, memFillsJittered, "mem_fills_jittered",           \
+      "memory fills with injected extra latency", Sim)                 \
+    X(std::uint64_t, busSqueezes, "bus_squeezes",                      \
+      "memory fills with injected extra bus occupancy", Sim)
+
 /** Count of injections per channel (the `fault.*` metrics). */
 struct FaultStats
 {
-    std::uint64_t batchesDropped = 0;
-    std::uint64_t batchesDuplicated = 0;
-    std::uint64_t dearAliased = 0;
-    std::uint64_t countersJittered = 0;
-    std::uint64_t btbCorrupted = 0;
-    std::uint64_t patchesFailed = 0;
-    std::uint64_t optimizerStalls = 0;
-    std::uint64_t memFillsJittered = 0;
-    std::uint64_t busSqueezes = 0;
+    ADORE_STAT_FIELDS(FaultStats, ADORE_FAULT_STATS)
 
     std::uint64_t
     total() const

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -23,7 +24,7 @@ Experiment::defaultAdoreConfig()
     cfg.pollPeriod = 64'000;
     // The optimizer runs on its own thread behind the bounded sample
     // queue; the barrier handshake keeps results bit-identical to the
-    // synchronous in-hook optimizer (tests/test_async_toggle.cc).
+    // synchronous in-hook optimizer (tests/test_toggle_sweep.cc).
     cfg.mode = OptimizerMode::AsyncBarrier;
     return cfg;
 }
@@ -206,10 +207,33 @@ Experiment::run(const hir::Program &prog, const RunConfig &cfg)
     return out;
 }
 
+namespace
+{
+
+/** Export every field of @p stats that has a metric name as
+ *  "<prefix><metric>", except metrics starting with a nonempty
+ *  @p skip. */
+template <typename S>
+void
+addStats(observe::MetricsRegistry &registry, const std::string &prefix,
+         const S &stats, std::string_view skip = {})
+{
+    S::forEachField([&](const StatField &f, auto member) {
+        if (f.metric && (skip.empty() ||
+                         !std::string_view(f.metric).starts_with(skip)))
+            registry.set(prefix + f.metric,
+                         static_cast<double>(stats.*member), f.description);
+    });
+}
+
+} // namespace
+
 void
 Experiment::collectMetrics(observe::MetricsRegistry &registry,
                            const RunMetrics &metrics)
 {
+    // The counter structs export themselves from their field lists;
+    // only flags, derived rates and totals are written out here.
     auto add = [&registry](const std::string &name, double value,
                            const char *desc) {
         registry.set(name, value, desc);
@@ -225,30 +249,7 @@ Experiment::collectMetrics(observe::MetricsRegistry &registry,
     add("run.exec_tier",
         metrics.execTier == ExecTier::DirectThreaded ? 1.0 : 0.0,
         "execution tier (0 = interpreter, 1 = direct_threaded)");
-    add("tier.blocks_built",
-        static_cast<double>(metrics.superblockStats.built),
-        "superblocks constructed");
-    add("tier.blocks_replaced",
-        static_cast<double>(metrics.superblockStats.replaced),
-        "superblocks evicted by LRU replacement");
-    add("tier.blocks_invalidated",
-        static_cast<double>(metrics.superblockStats.invalidated),
-        "stale superblocks dropped at lookup");
-    add("tier.dispatches",
-        static_cast<double>(metrics.superblockStats.dispatches),
-        "run()-loop entries into a superblock");
-    add("tier.loop_trips",
-        static_cast<double>(metrics.superblockStats.loopTrips),
-        "inline superblock back-edges taken");
-    add("tier.chained",
-        static_cast<double>(metrics.superblockStats.chained),
-        "direct block-to-block transitions (no interpreter round-trip)");
-    add("tier.blocks_demoted",
-        static_cast<double>(metrics.superblockStats.demoted),
-        "superblocks removed by the profitability oracle");
-    add("tier.fused_pairs",
-        static_cast<double>(metrics.superblockStats.fusedPairs),
-        "instruction pairs fused into combined uops at build");
+    addStats(registry, "tier.", metrics.superblockStats);
     add("tier.region_gen_bumps", static_cast<double>(metrics.regionGenBumps),
         "CodeImage region-generation bumps over the run (all sources)");
 
@@ -259,21 +260,7 @@ Experiment::collectMetrics(observe::MetricsRegistry &registry,
     add("run.seconds_at_900mhz", metrics.secondsAt900MHz(),
         "wall-clock seconds at the paper's 900 MHz machine");
 
-    add("mem.loads", static_cast<double>(metrics.memStats.loads),
-        "demand data loads");
-    add("mem.stores", static_cast<double>(metrics.memStats.stores),
-        "demand data stores");
-    add("mem.prefetches_issued",
-        static_cast<double>(metrics.memStats.prefetchesIssued),
-        "lfetch requests issued to the hierarchy");
-    add("mem.prefetches_dropped",
-        static_cast<double>(metrics.memStats.prefetchesDropped),
-        "lfetch requests throttled (prefetch queue full)");
-    add("mem.prefetches_useless",
-        static_cast<double>(metrics.memStats.prefetchesUseless),
-        "lfetch requests whose line was already resident");
-    add("mem.ifetches", static_cast<double>(metrics.memStats.ifetches),
-        "bundle fetches");
+    addStats(registry, "mem.", metrics.memStats);
     add("mem.ifetch_miss_rate", metrics.memStats.ifetchMissRate(),
         "L1I miss rate of bundle fetches");
 
@@ -287,21 +274,9 @@ Experiment::collectMetrics(observe::MetricsRegistry &registry,
                             {"l2", &metrics.l2Stats},
                             {"l3", &metrics.l3Stats}};
     for (const Level &level : levels) {
-        std::string p(level.name);
-        const CacheStats &s = *level.stats;
-        add(p + ".accesses", static_cast<double>(s.accesses),
-            "cache accesses");
-        add(p + ".hits", static_cast<double>(s.hits), "cache hits");
-        add(p + ".misses", static_cast<double>(s.misses), "cache misses");
-        add(p + ".miss_rate", s.missRate(), "misses / accesses");
-        add(p + ".in_flight_hits", static_cast<double>(s.inFlightHits),
-            "hits on lines whose fill was still pending");
-        add(p + ".prefetch_fills", static_cast<double>(s.prefetchFills),
-            "lines filled by prefetches");
-        add(p + ".demand_fills", static_cast<double>(s.demandFills),
-            "lines filled by demand misses");
-        add(p + ".evictions", static_cast<double>(s.evictions),
-            "lines evicted");
+        std::string p = std::string(level.name) + ".";
+        addStats(registry, p, *level.stats);
+        add(p + "miss_rate", level.stats->missRate(), "misses / accesses");
     }
 
     const CompileReport &cr = metrics.compileReport;
@@ -322,84 +297,15 @@ Experiment::collectMetrics(observe::MetricsRegistry &registry,
         "software-pipelined loops");
 
     if (metrics.faultsUsed) {
-        const fault::FaultStats &f = metrics.faultStats;
-        add("fault.batches_dropped",
-            static_cast<double>(f.batchesDropped),
-            "SSB overflow batches dropped before the UEB");
-        add("fault.batches_duplicated",
-            static_cast<double>(f.batchesDuplicated),
-            "SSB overflow batches delivered twice");
-        add("fault.dear_aliased", static_cast<double>(f.dearAliased),
-            "DEAR miss addresses aliased");
-        add("fault.counters_jittered",
-            static_cast<double>(f.countersJittered),
-            "samples with jittered PMU counters");
-        add("fault.btb_corrupted", static_cast<double>(f.btbCorrupted),
-            "samples with corrupted BTB paths");
-        add("fault.patches_failed",
-            static_cast<double>(f.patchesFailed),
-            "trace commits refused by injected patch failure");
-        add("fault.optimizer_stalls",
-            static_cast<double>(f.optimizerStalls),
-            "injected optimizer stalls (watchdog channel)");
-        add("fault.mem_fills_jittered",
-            static_cast<double>(f.memFillsJittered),
-            "memory fills with injected extra latency");
-        add("fault.bus_squeezes", static_cast<double>(f.busSqueezes),
-            "memory fills with injected extra bus occupancy");
-        add("fault.total", static_cast<double>(f.total()),
+        addStats(registry, "fault.", metrics.faultStats);
+        add("fault.total", static_cast<double>(metrics.faultStats.total()),
             "total injected faults across all channels");
     }
 
-    if (metrics.guardrailsUsed) {
-        const GuardrailStats &g = metrics.guardrailStats;
-        add("guardrail.staged_reverts",
-            static_cast<double>(g.stagedReverts),
-            "single-trace reverts (stage 1)");
-        add("guardrail.full_reverts", static_cast<double>(g.fullReverts),
-            "whole-batch reverts (stage 2)");
-        add("guardrail.reopt_blocked",
-            static_cast<double>(g.reoptBlocked),
-            "optimize attempts denied by re-optimization backoff");
-        add("guardrail.heads_blacklisted",
-            static_cast<double>(g.headsBlacklisted),
-            "trace heads permanently blacklisted");
-        add("guardrail.sampling_backoffs",
-            static_cast<double>(g.samplingBackoffs),
-            "sampling-interval doublings on phase thrash");
-        add("guardrail.sampling_restores",
-            static_cast<double>(g.samplingRestores),
-            "sampling-interval restorations after calm");
-        add("guardrail.prefetch_damped",
-            static_cast<double>(g.prefetchDamped),
-            "prefetch throttle transitions to damped");
-        add("guardrail.prefetch_disabled",
-            static_cast<double>(g.prefetchDisabled),
-            "prefetch throttle transitions to disabled");
-        add("guardrail.prefetch_restored",
-            static_cast<double>(g.prefetchRestored),
-            "prefetch throttle step-downs after calm");
-        add("guardrail.pool_exhausted_rejects",
-            static_cast<double>(g.poolExhaustedRejects),
-            "trace commits refused by pool exhaustion");
-        add("guardrail.patch_failures",
-            static_cast<double>(g.patchFailures),
-            "patch failures absorbed by the guardrails");
-        add("guardrail.watchdog_fires",
-            static_cast<double>(g.watchdogFires),
-            "optimizer phases cancelled by the watchdog");
-        if (metrics.hwPrefetchUsed) {
-            add("guardrail.hwpf_damped",
-                static_cast<double>(g.hwPrefetchDamped),
-                "hw-prefetch throttle rung steps to damped");
-            add("guardrail.hwpf_disabled",
-                static_cast<double>(g.hwPrefetchDisabled),
-                "hw-prefetch throttle rung steps to disabled");
-            add("guardrail.hwpf_restored",
-                static_cast<double>(g.hwPrefetchRestored),
-                "hw-prefetch throttle rung recoveries");
-        }
-    }
+    // The guardrails' hw-prefetch rung exists only with the engine.
+    if (metrics.guardrailsUsed)
+        addStats(registry, "guardrail.", metrics.guardrailStats,
+                 metrics.hwPrefetchUsed ? "" : "hwpf_");
 
     // Gated on hwPrefetchUsed so runs without the engine keep a
     // byte-identical metric set (the bit-identity and golden tests
@@ -412,171 +318,29 @@ Experiment::collectMetrics(observe::MetricsRegistry &registry,
             "hardware prefetches throttled (shared prefetch queue full)");
         add("hwpf.useless", static_cast<double>(h.useless()),
             "hardware prefetches whose line was already resident");
-        struct Pf
-        {
-            const char *name;
-            const HwPrefetcherStats *stats;
-        };
-        const Pf pfs[] = {{"stride", &h.stride},
-                          {"vldp", &h.vldp},
-                          {"pointer", &h.pointer}};
-        for (const Pf &pf : pfs) {
-            std::string p = std::string("hwpf.") + pf.name;
-            const HwPrefetcherStats &s = *pf.stats;
-            add(p + "_trained", static_cast<double>(s.trained),
-                "prefetcher table-update events");
-            add(p + "_predictions", static_cast<double>(s.predictions),
-                "candidate lines predicted");
-            add(p + "_issued", static_cast<double>(s.issued),
-                "candidates issued to the bus");
-            add(p + "_dropped", static_cast<double>(s.dropped),
-                "candidates throttled");
-            add(p + "_useless", static_cast<double>(s.useless),
-                "candidates already resident");
-        }
-        if (metrics.hwpfControllerUsed) {
-            const HwPrefetchControllerStats &c =
-                metrics.hwpfControllerStats;
-            add("hwpf.controller_polls", static_cast<double>(c.polls),
-                "adaptive-controller polls");
-            add("hwpf.phase_retunes",
-                static_cast<double>(c.phaseRetunes),
-                "controller resets on phase change");
-            add("hwpf.degree_ups", static_cast<double>(c.degreeUps),
-                "controller degree increases");
-            add("hwpf.degree_downs", static_cast<double>(c.degreeDowns),
-                "controller degree decreases");
-            add("hwpf.disables",
-                static_cast<double>(c.prefetcherDisables),
-                "prefetchers turned off by the controller");
-            add("hwpf.guardrail_caps",
-                static_cast<double>(c.guardrailCaps),
-                "polls newly capped by the guardrail rung");
-        }
+        addStats(registry, "hwpf.stride_", h.stride);
+        addStats(registry, "hwpf.vldp_", h.vldp);
+        addStats(registry, "hwpf.pointer_", h.pointer);
+        if (metrics.hwpfControllerUsed)
+            addStats(registry, "hwpf.", metrics.hwpfControllerStats);
     }
 
     add("adore.used", metrics.adoreUsed ? 1.0 : 0.0,
         "dynamic optimizer attached");
     if (!metrics.adoreUsed)
         return;
-    const AdoreStats &a = metrics.adoreStats;
-    add("adore.windows_processed",
-        static_cast<double>(a.windowsProcessed),
-        "profile windows consumed by the optimizer");
-    add("adore.window_doublings", static_cast<double>(a.windowDoublings),
-        "sampling-window doublings (unstable behaviour)");
-    add("adore.phases_detected", static_cast<double>(a.phasesDetected),
-        "stable phases detected");
-    add("adore.phase_changes", static_cast<double>(a.phaseChanges),
-        "phase changes");
-    add("adore.phases_skipped_low_miss",
-        static_cast<double>(a.phasesSkippedLowMiss),
-        "stable phases skipped: miss rate below threshold");
-    add("adore.phases_skipped_in_pool",
-        static_cast<double>(a.phasesSkippedInPool),
-        "stable phases skipped: already running from the pool");
-    add("adore.phases_optimized", static_cast<double>(a.phasesOptimized),
-        "phases with at least one trace patched");
-    add("adore.phases_prefetched",
-        static_cast<double>(a.phasesPrefetched),
-        "phases with at least one prefetch inserted");
-    add("adore.traces_selected", static_cast<double>(a.tracesSelected),
-        "traces grown from the BTB path profile");
-    add("adore.loop_traces", static_cast<double>(a.loopTraces),
-        "selected traces ending in a backedge");
-    add("adore.traces_patched", static_cast<double>(a.tracesPatched),
-        "traces committed to the pool and patched");
-    add("adore.traces_skipped_lfetch",
-        static_cast<double>(a.tracesSkippedLfetch),
-        "traces skipped: compiler lfetch already covers them");
-    add("adore.traces_skipped_swp",
-        static_cast<double>(a.tracesSkippedSwp),
-        "traces skipped: software-pipelined loop");
-    add("adore.traces_skipped_patched",
-        static_cast<double>(a.tracesSkippedPatched),
-        "traces skipped: head already patched");
-    add("adore.prefetches_direct", a.directPrefetches,
-        "direct-pattern prefetches inserted");
-    add("adore.prefetches_indirect", a.indirectPrefetches,
-        "indirect-pattern prefetches inserted");
-    add("adore.prefetches_pointer", a.pointerPrefetches,
-        "pointer-chasing prefetches inserted");
-    add("adore.loads_skipped_no_regs", a.loadsSkippedNoRegs,
-        "delinquent loads dropped: reserved registers exhausted");
-    add("adore.loads_skipped_unknown", a.loadsSkippedUnknown,
-        "delinquent loads dropped: unknown reference pattern");
-    add("adore.bundles_inserted", a.bundlesInserted,
-        "new body bundles inserted for prefetch code");
-    add("adore.slots_filled", a.slotsFilled,
-        "prefetch instructions placed in free slots");
-    add("adore.phases_reverted", static_cast<double>(a.phasesReverted),
-        "optimization batches reverted as nonprofitable");
-    add("adore.traces_unpatched", static_cast<double>(a.tracesUnpatched),
-        "traces unpatched by reverts");
-    add("adore.traces_rejected_pool_full",
-        static_cast<double>(a.tracesRejectedPoolFull),
-        "trace commits rejected: trace pool exhausted");
-    add("adore.traces_patch_failed",
-        static_cast<double>(a.tracesPatchFailed),
-        "trace commits rejected: injected patch failure");
-    add("adore.phases_watchdog_cancelled",
-        static_cast<double>(a.phasesWatchdogCancelled),
-        "phase optimizations cancelled by the watchdog");
-    add("adore.traces_commit_stale",
-        static_cast<double>(a.tracesCommitStale),
-        "async trace commits refused: head patched meanwhile");
-    add("adore.region_gen_bumps", static_cast<double>(a.regionGenBumps),
-        "region generations bumped by runtime pool writes and patches");
+    addStats(registry, "adore.", metrics.adoreStats);
 
-    const SamplerStats &p = metrics.samplerStats;
-    add("pmu.samples_taken", static_cast<double>(p.samplesTaken),
-        "PMU samples recorded into the SSB");
-    add("pmu.overflows", static_cast<double>(p.overflows),
-        "SSB overflow signals");
-    add("pmu.batches_delivered",
-        static_cast<double>(p.batchesDelivered),
-        "SSB batches accepted by the overflow handler");
-    add("pmu.dropped_batches", static_cast<double>(p.totalDropped()),
+    addStats(registry, "pmu.", metrics.samplerStats);
+    add("pmu.dropped_batches",
+        static_cast<double>(metrics.samplerStats.totalDropped()),
         "SSB batches lost for any reason");
-    add("pmu.dropped_fault", static_cast<double>(p.droppedFault),
-        "SSB batches dropped by the injected drop-batch fault");
-    add("pmu.dropped_consumer_behind",
-        static_cast<double>(p.droppedConsumerBehind),
-        "SSB batches dropped: optimizer sample queue was full");
 
     add("optimizer.mode",
         static_cast<double>(static_cast<int>(metrics.optimizerMode)),
         "optimizer threading mode (0 sync, 1 barrier, 2 free)");
-    if (metrics.optimizerServiceUsed) {
-        const OptimizerServiceStats &o = metrics.optimizerStats;
-        add("optimizer.queue_enqueued",
-            static_cast<double>(o.batchesEnqueued),
-            "sample batches accepted by the bounded queue");
-        add("optimizer.queue_dropped",
-            static_cast<double>(o.batchesDropped),
-            "sample batches refused: bounded queue full");
-        add("optimizer.ticks_processed",
-            static_cast<double>(o.ticksProcessed),
-            "free-running poll ticks processed by the worker");
-        add("optimizer.ticks_dropped",
-            static_cast<double>(o.ticksDropped),
-            "poll ticks dropped (deltas carried to the next tick)");
-        add("optimizer.barrier_polls",
-            static_cast<double>(o.barrierPolls),
-            "barrier-mode polls executed by the worker");
-        add("optimizer.commits_applied",
-            static_cast<double>(o.commitsApplied),
-            "planned trace commits applied at safe points");
-        add("optimizer.commits_stale",
-            static_cast<double>(o.commitsStale),
-            "planned trace commits refused stale at apply");
-        add("optimizer.requests_dropped",
-            static_cast<double>(o.requestsDropped),
-            "commit/unpatch requests refused: queue full");
-        add("optimizer.watchdog_host_cancels",
-            static_cast<double>(o.watchdogHostCancels),
-            "host-time watchdog cancellations requested");
-    }
+    if (metrics.optimizerServiceUsed)
+        addStats(registry, "optimizer.", metrics.optimizerStats);
 }
 
 std::string

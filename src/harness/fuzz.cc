@@ -56,13 +56,13 @@ buildArms(const FuzzSpec &spec, std::uint64_t seed)
     interp.cfg.machine.cpu.execTier = ExecTier::Interpreter;
     arms.push_back(interp);
 
-    // 1: fastPath off — promised identical (test_fastpath_toggle).
+    // 1: fastPath off — promised identical (test_toggle_sweep).
     ArmDef nofast{"interp_nofast", interp.cfg};
     nofast.cfg.machine.hier.fastPath = false;
     nofast.identityWith = 0;
     arms.push_back(nofast);
 
-    // 2: direct-threaded tier — promised identical (test_tier_toggle).
+    // 2: direct-threaded tier — promised identical (test_toggle_sweep).
     ArmDef direct{"direct", base};
     direct.cfg.machine.cpu.execTier = ExecTier::DirectThreaded;
     direct.identityWith = 0;
@@ -77,7 +77,7 @@ buildArms(const FuzzSpec &spec, std::uint64_t seed)
         spec.poolCapacityBundles;
     arms.push_back(sync);
 
-    // 4: barrier-mode worker — promised identical (test_async_toggle).
+    // 4: barrier-mode worker — promised identical (test_toggle_sweep).
     ArmDef barrier{"adore_barrier", sync.cfg};
     barrier.cfg.adoreConfig.mode = OptimizerMode::AsyncBarrier;
     barrier.identityWith = 3;

@@ -36,27 +36,24 @@ struct Differ
     std::vector<std::string> &out;
 
     void
-    field(const char *name, std::uint64_t a, std::uint64_t b)
+    field(const std::string &name, std::uint64_t a, std::uint64_t b)
     {
         if (a != b)
-            out.push_back(fmt("%s: %" PRIu64 " != %" PRIu64, name, a, b));
+            out.push_back(fmt("%s: %" PRIu64 " != %" PRIu64, name.c_str(),
+                              a, b));
     }
 };
 
+template <typename S>
 void
-diffCacheStats(Differ &d, const char *level, const CacheStats &a,
-               const CacheStats &b)
+diffStats(Differ &d, const std::string &block, const S &a, const S &b)
 {
-    auto f = [&](const char *name, std::uint64_t x, std::uint64_t y) {
-        d.field((std::string(level) + "." + name).c_str(), x, y);
-    };
-    f("accesses", a.accesses, b.accesses);
-    f("hits", a.hits, b.hits);
-    f("misses", a.misses, b.misses);
-    f("inFlightHits", a.inFlightHits, b.inFlightHits);
-    f("prefetchFills", a.prefetchFills, b.prefetchFills);
-    f("demandFills", a.demandFills, b.demandFills);
-    f("evictions", a.evictions, b.evictions);
+    S::forEachField([&](const StatField &f, auto member) {
+        if (f.cls == StatClass::Sim)
+            d.field(block + "." + f.member,
+                    static_cast<std::uint64_t>(a.*member),
+                    static_cast<std::uint64_t>(b.*member));
+    });
 }
 
 } // namespace
@@ -113,57 +110,18 @@ diffIdentity(const RunMetrics &a, const RunMetrics &b, bool compare_adore,
              std::vector<std::string> &out)
 {
     Differ d{out};
-    d.field("halted", a.halted ? 1 : 0, b.halted ? 1 : 0);
+    d.field("halted", a.halted, b.halted);
     d.field("cycles", a.cycles, b.cycles);
     d.field("retired", a.retired, b.retired);
     d.field("dearMisses", a.dearMisses, b.dearMisses);
-
-    const HierarchyStats &ma = a.memStats, &mb = b.memStats;
-    d.field("mem.loads", ma.loads, mb.loads);
-    d.field("mem.stores", ma.stores, mb.stores);
-    d.field("mem.prefetchesIssued", ma.prefetchesIssued,
-            mb.prefetchesIssued);
-    d.field("mem.prefetchesDropped", ma.prefetchesDropped,
-            mb.prefetchesDropped);
-    d.field("mem.prefetchesUseless", ma.prefetchesUseless,
-            mb.prefetchesUseless);
-    d.field("mem.ifetches", ma.ifetches, mb.ifetches);
-    d.field("mem.ifetchMisses", ma.ifetchMisses, mb.ifetchMisses);
-
-    diffCacheStats(d, "l1i", a.l1iStats, b.l1iStats);
-    diffCacheStats(d, "l1d", a.l1dStats, b.l1dStats);
-    diffCacheStats(d, "l2", a.l2Stats, b.l2Stats);
-    diffCacheStats(d, "l3", a.l3Stats, b.l3Stats);
-
-    if (compare_adore) {
-        const AdoreStats &sa = a.adoreStats, &sb = b.adoreStats;
-        d.field("adore.windowsProcessed", sa.windowsProcessed,
-                sb.windowsProcessed);
-        d.field("adore.phasesDetected", sa.phasesDetected,
-                sb.phasesDetected);
-        d.field("adore.phaseChanges", sa.phaseChanges, sb.phaseChanges);
-        d.field("adore.phasesOptimized", sa.phasesOptimized,
-                sb.phasesOptimized);
-        d.field("adore.phasesPrefetched", sa.phasesPrefetched,
-                sb.phasesPrefetched);
-        d.field("adore.tracesSelected", sa.tracesSelected,
-                sb.tracesSelected);
-        d.field("adore.tracesPatched", sa.tracesPatched,
-                sb.tracesPatched);
-        d.field("adore.directPrefetches", sa.directPrefetches,
-                sb.directPrefetches);
-        d.field("adore.indirectPrefetches", sa.indirectPrefetches,
-                sb.indirectPrefetches);
-        d.field("adore.pointerPrefetches", sa.pointerPrefetches,
-                sb.pointerPrefetches);
-        d.field("adore.bundlesInserted", sa.bundlesInserted,
-                sb.bundlesInserted);
-        d.field("adore.phasesReverted", sa.phasesReverted,
-                sb.phasesReverted);
-        d.field("adore.tracesUnpatched", sa.tracesUnpatched,
-                sb.tracesUnpatched);
-        d.field("regionGenBumps", a.regionGenBumps, b.regionGenBumps);
-    }
+    d.field("regionGenBumps", a.regionGenBumps, b.regionGenBumps);
+    d.field("faultsUsed", a.faultsUsed, b.faultsUsed);
+    if (compare_adore)
+        d.field("guardrailsUsed", a.guardrailsUsed, b.guardrailsUsed);
+    forEachStatBlock([&](const char *block, auto get, bool runtime) {
+        if (compare_adore || !runtime)
+            diffStats(d, block, get(a), get(b));
+    });
 }
 
 } // namespace adore::invariants

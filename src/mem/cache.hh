@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "isa/insn.hh"
+#include "support/stat_fields.hh"
 
 namespace adore
 {
@@ -50,15 +51,23 @@ struct CacheConfig
     std::uint32_t hitLatency;
 };
 
+/** CacheStats fields, X(type, member, metric, description, class)
+ *  (support/stat_fields.hh); exported as "<level>.<metric>". */
+#define ADORE_CACHE_STATS(X)                                           \
+    X(std::uint64_t, accesses, "accesses", "cache accesses", Sim)      \
+    X(std::uint64_t, hits, "hits", "cache hits", Sim)                  \
+    X(std::uint64_t, misses, "misses", "cache misses", Sim)            \
+    X(std::uint64_t, inFlightHits, "in_flight_hits",                   \
+      "hits on lines whose fill was still pending", Sim)               \
+    X(std::uint64_t, prefetchFills, "prefetch_fills",                  \
+      "lines filled by prefetches", Sim)                               \
+    X(std::uint64_t, demandFills, "demand_fills",                      \
+      "lines filled by demand misses", Sim)                            \
+    X(std::uint64_t, evictions, "evictions", "lines evicted", Sim)
+
 struct CacheStats
 {
-    std::uint64_t accesses = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t inFlightHits = 0;  ///< present but fill still pending
-    std::uint64_t prefetchFills = 0;
-    std::uint64_t demandFills = 0;
-    std::uint64_t evictions = 0;
+    ADORE_STAT_FIELDS(CacheStats, ADORE_CACHE_STATS)
 
     double
     missRate() const

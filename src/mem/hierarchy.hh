@@ -57,7 +57,7 @@ struct HierarchyConfig
     /**
      * Enable the host-side fast paths (Cpu load line buffer, prefetch
      * MSHR dedup, L1I repeat-hit path).  Simulated metrics are
-     * bit-identical either way — tests/test_fastpath_toggle.cc holds
+     * bit-identical either way — tests/test_toggle_sweep.cc holds
      * this to account — so the switch exists only for that comparison
      * and for debugging.
      */
@@ -70,15 +70,24 @@ struct HierarchyConfig
     HwPrefetchConfig hwPrefetch;
 };
 
+/** HierarchyStats fields, X(type, member, metric, description, class)
+ *  (support/stat_fields.hh); exported as "mem.<metric>". */
+#define ADORE_HIERARCHY_STATS(X)                                       \
+    X(std::uint64_t, loads, "loads", "demand data loads", Sim)         \
+    X(std::uint64_t, stores, "stores", "demand data stores", Sim)      \
+    X(std::uint64_t, prefetchesIssued, "prefetches_issued",            \
+      "lfetch requests issued to the hierarchy", Sim)                  \
+    X(std::uint64_t, prefetchesDropped, "prefetches_dropped",          \
+      "lfetch requests throttled (prefetch queue full)", Sim)          \
+    X(std::uint64_t, prefetchesUseless, "prefetches_useless",          \
+      "lfetch requests whose line was already resident", Sim)          \
+    X(std::uint64_t, ifetches, "ifetches", "bundle fetches", Sim)      \
+    X(std::uint64_t, ifetchMisses, nullptr,                            \
+      "bundle fetches that missed L1I", Sim)
+
 struct HierarchyStats
 {
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t prefetchesIssued = 0;
-    std::uint64_t prefetchesDropped = 0;   ///< throttled (queue full)
-    std::uint64_t prefetchesUseless = 0;   ///< line already resident
-    std::uint64_t ifetches = 0;            ///< total bundle fetches
-    std::uint64_t ifetchMisses = 0;
+    ADORE_STAT_FIELDS(HierarchyStats, ADORE_HIERARCHY_STATS)
 
     double
     ifetchMissRate() const

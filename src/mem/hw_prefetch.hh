@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "isa/insn.hh"
+#include "support/stat_fields.hh"
 
 namespace adore
 {
@@ -83,14 +84,22 @@ struct HwPrefetchConfig
     std::uint32_t pointerTriggerLatency = 14;
 };
 
+/** HwPrefetcherStats fields, X(type, member, metric, description,
+ *  class) (support/stat_fields.hh); exported as
+ *  "hwpf.<prefetcher>_<metric>". */
+#define ADORE_HW_PREFETCHER_STATS(X)                                   \
+    X(std::uint64_t, trained, "trained",                               \
+      "prefetcher table-update events", Sim)                           \
+    X(std::uint64_t, predictions, "predictions",                       \
+      "candidate lines predicted", Sim)                                \
+    X(std::uint64_t, issued, "issued", "candidates issued to the bus", Sim) \
+    X(std::uint64_t, dropped, "dropped", "candidates throttled", Sim)  \
+    X(std::uint64_t, useless, "useless", "candidates already resident", Sim)
+
 /** Counters of one hardware prefetcher. */
 struct HwPrefetcherStats
 {
-    std::uint64_t trained = 0;      ///< table-update events
-    std::uint64_t predictions = 0;  ///< candidate lines emitted
-    std::uint64_t issued = 0;       ///< candidates that reached the bus
-    std::uint64_t dropped = 0;      ///< throttled (prefetch queue full)
-    std::uint64_t useless = 0;      ///< line already resident/in flight
+    ADORE_STAT_FIELDS(HwPrefetcherStats, ADORE_HW_PREFETCHER_STATS)
 
     double
     dropRate() const

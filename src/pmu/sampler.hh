@@ -26,6 +26,7 @@
 
 #include "fault/fault_plan.hh"
 #include "pmu/pmu.hh"
+#include "support/stat_fields.hh"
 
 namespace adore
 {
@@ -50,6 +51,21 @@ struct SamplerConfig
     std::uint32_t copyCyclesPerSample = 2;  ///< charged per overflow copy
 };
 
+/** SamplerStats fields, X(type, member, metric, description, class)
+ *  (support/stat_fields.hh); exported as "pmu.<metric>". */
+#define ADORE_SAMPLER_STATS(X)                                         \
+    X(std::uint64_t, samplesTaken, "samples_taken",                    \
+      "PMU samples recorded into the SSB", Sim)                        \
+    X(std::uint64_t, overflows, "overflows", "SSB overflow signals", Sim) \
+    X(std::uint64_t, batchesDelivered, "batches_delivered",            \
+      "SSB batches accepted by the overflow handler", Sim)             \
+    X(std::uint64_t, droppedFault, "dropped_fault",                    \
+      "SSB batches dropped by the injected drop-batch fault", Sim)     \
+    X(std::uint64_t, droppedConsumerBehind, "dropped_consumer_behind", \
+      "SSB batches dropped: optimizer sample queue was full", Sim)     \
+    X(std::uint64_t, droppedNoHandler, nullptr,                        \
+      "SSB batches dropped: no overflow handler", Sim)
+
 /**
  * Sampling-path accounting (the `pmu.*` metrics).  Every SSB overflow
  * resolves to exactly one first-delivery outcome — delivered, dropped
@@ -63,12 +79,7 @@ struct SamplerConfig
  */
 struct SamplerStats
 {
-    std::uint64_t samplesTaken = 0;
-    std::uint64_t overflows = 0;
-    std::uint64_t batchesDelivered = 0;      ///< handler accepted the SSB
-    std::uint64_t droppedFault = 0;          ///< injected drop-batch fault
-    std::uint64_t droppedConsumerBehind = 0; ///< bounded queue was full
-    std::uint64_t droppedNoHandler = 0;      ///< no overflow handler
+    ADORE_STAT_FIELDS(SamplerStats, ADORE_SAMPLER_STATS)
 
     /** Batches lost for any reason (`pmu.dropped_batches`). */
     std::uint64_t

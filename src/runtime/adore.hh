@@ -35,6 +35,7 @@
 #include "runtime/phase_detector.hh"
 #include "runtime/prefetch_gen.hh"
 #include "runtime/trace_selector.hh"
+#include "support/stat_fields.hh"
 
 namespace adore
 {
@@ -167,39 +168,71 @@ struct AdoreConfig
     std::function<void(Addr)> perTraceTestHook;
 };
 
+/** AdoreStats fields, X(type, member, metric, description, class)
+ *  (support/stat_fields.hh); exported as "adore.<metric>". */
+#define ADORE_ADORE_STATS(X)                                           \
+    X(std::uint64_t, windowsProcessed, "windows_processed",            \
+      "profile windows consumed by the optimizer", Sim)                \
+    X(std::uint64_t, windowDoublings, "window_doublings",              \
+      "sampling-window doublings (unstable behaviour)", Sim)           \
+    X(std::uint64_t, phasesDetected, "phases_detected",                \
+      "stable phases detected", Sim)                                   \
+    X(std::uint64_t, phaseChanges, "phase_changes", "phase changes", Sim) \
+    X(std::uint64_t, phasesSkippedLowMiss, "phases_skipped_low_miss",  \
+      "stable phases skipped: miss rate below threshold", Sim)         \
+    X(std::uint64_t, phasesSkippedInPool, "phases_skipped_in_pool",    \
+      "stable phases skipped: already running from the pool", Sim)     \
+    X(std::uint64_t, phasesOptimized, "phases_optimized",              \
+      "phases with at least one trace patched", Sim)                   \
+    X(std::uint64_t, phasesPrefetched, "phases_prefetched",            \
+      "phases with at least one prefetch inserted", Sim)               \
+    X(std::uint64_t, tracesSelected, "traces_selected",                \
+      "traces grown from the BTB path profile", Sim)                   \
+    X(std::uint64_t, loopTraces, "loop_traces",                        \
+      "selected traces ending in a backedge", Sim)                     \
+    X(std::uint64_t, tracesPatched, "traces_patched",                  \
+      "traces committed to the pool and patched", Sim)                 \
+    X(std::uint64_t, tracesSkippedLfetch, "traces_skipped_lfetch",     \
+      "traces skipped: compiler lfetch already covers them", Sim)      \
+    X(std::uint64_t, tracesSkippedSwp, "traces_skipped_swp",           \
+      "traces skipped: software-pipelined loop", Sim)                  \
+    X(std::uint64_t, tracesSkippedPatched, "traces_skipped_patched",   \
+      "traces skipped: head already patched", Sim)                     \
+    X(int, directPrefetches, "prefetches_direct",                      \
+      "direct-pattern prefetches inserted", Sim)                       \
+    X(int, indirectPrefetches, "prefetches_indirect",                  \
+      "indirect-pattern prefetches inserted", Sim)                     \
+    X(int, pointerPrefetches, "prefetches_pointer",                    \
+      "pointer-chasing prefetches inserted", Sim)                      \
+    X(int, loadsSkippedNoRegs, "loads_skipped_no_regs",                \
+      "delinquent loads dropped: reserved registers exhausted", Sim)   \
+    X(int, loadsSkippedUnknown, "loads_skipped_unknown",               \
+      "delinquent loads dropped: unknown reference pattern", Sim)      \
+    X(int, bundlesInserted, "bundles_inserted",                        \
+      "new body bundles inserted for prefetch code", Sim)              \
+    X(int, slotsFilled, "slots_filled",                                \
+      "prefetch instructions placed in free slots", Sim)               \
+    X(std::uint64_t, phasesReverted, "phases_reverted",                \
+      "optimization batches reverted as nonprofitable", Sim)           \
+    X(std::uint64_t, tracesUnpatched, "traces_unpatched",              \
+      "traces unpatched by reverts", Sim)                              \
+    X(std::uint64_t, tracesRejectedPoolFull, "traces_rejected_pool_full", \
+      "trace commits rejected: trace pool exhausted", Sim)             \
+    X(std::uint64_t, tracesPatchFailed, "traces_patch_failed",         \
+      "trace commits rejected: injected patch failure", Sim)           \
+    X(std::uint64_t, phasesWatchdogCancelled, "phases_watchdog_cancelled", \
+      "phase optimizations cancelled by the watchdog", Sim)            \
+    X(std::uint64_t, tracesCommitStale, "traces_commit_stale",         \
+      "async trace commits refused: head patched meanwhile", Sim)      \
+    X(std::uint64_t, regionGenBumps, "region_gen_bumps",               \
+      "region generations bumped by runtime pool writes and patches", Sim)
+
+/** The runtime's decision counters.  regionGenBumps measures how much
+ *  region-keyed superblock and decoded-bundle state the runtime's
+ *  mutations could have invalidated. */
 struct AdoreStats
 {
-    std::uint64_t windowsProcessed = 0;
-    std::uint64_t windowDoublings = 0;
-    std::uint64_t phasesDetected = 0;
-    std::uint64_t phaseChanges = 0;
-    std::uint64_t phasesSkippedLowMiss = 0;
-    std::uint64_t phasesSkippedInPool = 0;
-    std::uint64_t phasesOptimized = 0;   ///< >=1 trace patched
-    std::uint64_t phasesPrefetched = 0;  ///< >=1 prefetch inserted
-    std::uint64_t tracesSelected = 0;
-    std::uint64_t loopTraces = 0;
-    std::uint64_t tracesPatched = 0;
-    std::uint64_t tracesSkippedLfetch = 0;
-    std::uint64_t tracesSkippedSwp = 0;
-    std::uint64_t tracesSkippedPatched = 0;
-    int directPrefetches = 0;
-    int indirectPrefetches = 0;
-    int pointerPrefetches = 0;
-    int loadsSkippedNoRegs = 0;
-    int loadsSkippedUnknown = 0;
-    int bundlesInserted = 0;
-    int slotsFilled = 0;
-    std::uint64_t phasesReverted = 0;   ///< nonprofitable batches undone
-    std::uint64_t tracesUnpatched = 0;
-    std::uint64_t tracesRejectedPoolFull = 0;  ///< pool-exhaustion rejects
-    std::uint64_t tracesPatchFailed = 0;       ///< injected patch failures
-    std::uint64_t phasesWatchdogCancelled = 0; ///< watchdog-cancelled phases
-    std::uint64_t tracesCommitStale = 0;  ///< async commits refused stale
-    /** CodeImage region generations bumped by this runtime's pool
-     *  writes, patches and reverts — how much region-keyed superblock
-     *  and decoded-bundle state each mutation could have invalidated. */
-    std::uint64_t regionGenBumps = 0;
+    ADORE_STAT_FIELDS(AdoreStats, ADORE_ADORE_STATS)
 };
 
 class AdoreRuntime

@@ -54,6 +54,7 @@
 
 #include "isa/insn.hh"
 #include "observe/event_trace.hh"
+#include "support/stat_fields.hh"
 
 namespace adore
 {
@@ -96,23 +97,44 @@ struct GuardrailConfig
     std::uint32_t throttleRecoverPolls = 8;
 };
 
+/** GuardrailStats fields, X(type, member, metric, description, class)
+ *  (support/stat_fields.hh); exported as "guardrail.<metric>", the
+ *  "hwpf_" rung only when the hw-prefetch engine exists. */
+#define ADORE_GUARDRAIL_STATS(X)                                       \
+    X(std::uint64_t, stagedReverts, "staged_reverts",                  \
+      "single-trace reverts (stage 1)", Sim)                           \
+    X(std::uint64_t, fullReverts, "full_reverts",                      \
+      "whole-batch reverts (stage 2)", Sim)                            \
+    X(std::uint64_t, reoptBlocked, "reopt_blocked",                    \
+      "optimize attempts denied by re-optimization backoff", Sim)      \
+    X(std::uint64_t, headsBlacklisted, "heads_blacklisted",            \
+      "trace heads permanently blacklisted", Sim)                      \
+    X(std::uint64_t, samplingBackoffs, "sampling_backoffs",            \
+      "sampling-interval doublings on phase thrash", Sim)              \
+    X(std::uint64_t, samplingRestores, "sampling_restores",            \
+      "sampling-interval restorations after calm", Sim)                \
+    X(std::uint64_t, prefetchDamped, "prefetch_damped",                \
+      "prefetch throttle transitions to damped", Sim)                  \
+    X(std::uint64_t, prefetchDisabled, "prefetch_disabled",            \
+      "prefetch throttle transitions to disabled", Sim)                \
+    X(std::uint64_t, prefetchRestored, "prefetch_restored",            \
+      "prefetch throttle step-downs after calm", Sim)                  \
+    X(std::uint64_t, hwPrefetchDamped, "hwpf_damped",                  \
+      "hw-prefetch throttle rung steps to damped", Sim)                \
+    X(std::uint64_t, hwPrefetchDisabled, "hwpf_disabled",              \
+      "hw-prefetch throttle rung steps to disabled", Sim)              \
+    X(std::uint64_t, hwPrefetchRestored, "hwpf_restored",              \
+      "hw-prefetch throttle rung recoveries", Sim)                     \
+    X(std::uint64_t, poolExhaustedRejects, "pool_exhausted_rejects",   \
+      "trace commits refused by pool exhaustion", Sim)                 \
+    X(std::uint64_t, patchFailures, "patch_failures",                  \
+      "patch failures absorbed by the guardrails", Sim)                \
+    X(std::uint64_t, watchdogFires, "watchdog_fires",                  \
+      "optimizer phases cancelled by the watchdog", Sim)
+
 struct GuardrailStats
 {
-    std::uint64_t stagedReverts = 0;    ///< single-trace reverts (stage 1)
-    std::uint64_t fullReverts = 0;      ///< whole-batch reverts (stage 2)
-    std::uint64_t reoptBlocked = 0;     ///< optimize attempts denied
-    std::uint64_t headsBlacklisted = 0; ///< heads blocked permanently
-    std::uint64_t samplingBackoffs = 0;
-    std::uint64_t samplingRestores = 0;
-    std::uint64_t prefetchDamped = 0;
-    std::uint64_t prefetchDisabled = 0;
-    std::uint64_t prefetchRestored = 0; ///< throttle step-downs
-    std::uint64_t hwPrefetchDamped = 0;   ///< hw throttle Normal -> Damped
-    std::uint64_t hwPrefetchDisabled = 0; ///< hw throttle -> Disabled
-    std::uint64_t hwPrefetchRestored = 0; ///< hw throttle step-ups
-    std::uint64_t poolExhaustedRejects = 0;
-    std::uint64_t patchFailures = 0;
-    std::uint64_t watchdogFires = 0;    ///< stalled optimizations cancelled
+    ADORE_STAT_FIELDS(GuardrailStats, ADORE_GUARDRAIL_STATS)
 };
 
 class Guardrails

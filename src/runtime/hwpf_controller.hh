@@ -47,6 +47,7 @@
 #include "mem/hierarchy.hh"
 #include "observe/event_trace.hh"
 #include "runtime/guardrails.hh"
+#include "support/stat_fields.hh"
 
 namespace adore
 {
@@ -67,14 +68,27 @@ struct HwPrefetchControllerConfig
     std::uint64_t minEvents = 16;
 };
 
+/** HwPrefetchControllerStats fields, X(type, member, metric,
+ *  description, class) (support/stat_fields.hh); exported as
+ *  "hwpf.<metric>". */
+#define ADORE_HWPF_CONTROLLER_STATS(X)                                 \
+    X(std::uint64_t, polls, "controller_polls",                        \
+      "adaptive-controller polls", Sim)                                \
+    X(std::uint64_t, phaseRetunes, "phase_retunes",                    \
+      "controller resets on phase change", Sim)                        \
+    X(std::uint64_t, degreeUps, "degree_ups",                          \
+      "controller degree increases", Sim)                              \
+    X(std::uint64_t, degreeDowns, "degree_downs",                      \
+      "controller degree decreases", Sim)                              \
+    X(std::uint64_t, prefetcherDisables, "disables",                   \
+      "prefetchers turned off by the controller", Sim)                 \
+    X(std::uint64_t, guardrailCaps, "guardrail_caps",                  \
+      "polls newly capped by the guardrail rung", Sim)
+
 struct HwPrefetchControllerStats
 {
-    std::uint64_t polls = 0;
-    std::uint64_t phaseRetunes = 0;       ///< resets on phase change
-    std::uint64_t degreeUps = 0;
-    std::uint64_t degreeDowns = 0;
-    std::uint64_t prefetcherDisables = 0; ///< controller-decided offs
-    std::uint64_t guardrailCaps = 0;      ///< polls newly capped by rung
+    ADORE_STAT_FIELDS(HwPrefetchControllerStats,
+                      ADORE_HWPF_CONTROLLER_STATS)
 };
 
 class HwPrefetchController

@@ -41,7 +41,7 @@
  *  - AsyncBarrier (default): the worker runs the *unchanged* poll body
  *    while the main thread blocks at the poll hook.  The mutex/condvar
  *    handshake orders every access in both directions, so the execution
- *    is bit-identical to Synchronous (tests/test_async_toggle.cc proves
+ *    is bit-identical to Synchronous (tests/test_toggle_sweep.cc proves
  *    it across the workload registry) and race-free under TSan.
  *  - FreeRunning: the worker runs concurrently with the interpreter,
  *    fed by sample batches and per-poll TickMsgs; commits/reverts are
@@ -64,6 +64,7 @@
 #include "pmu/sampler.hh"
 #include "runtime/spsc_queue.hh"
 #include "runtime/trace.hh"
+#include "support/stat_fields.hh"
 
 namespace adore
 {
@@ -152,6 +153,34 @@ struct UnpatchAck
     std::vector<bool> done;  ///< head i was patched and got unpatched
 };
 
+/** OptimizerServiceStats fields, X(type, member, metric, description,
+ *  class) (support/stat_fields.hh); exported as "optimizer.<metric>".
+ *  All Host: they count the worker's queues and handshakes, which
+ *  Synchronous mode does not have. */
+#define ADORE_OPTIMIZER_SERVICE_STATS(X)                               \
+    X(std::uint64_t, batchesEnqueued, "queue_enqueued",                \
+      "sample batches accepted by the bounded queue", Host)            \
+    X(std::uint64_t, batchesDropped, "queue_dropped",                  \
+      "sample batches refused: bounded queue full", Host)              \
+    X(std::uint64_t, ticksDropped, "ticks_dropped",                    \
+      "poll ticks dropped (deltas carried to the next tick)", Host)    \
+    X(std::uint64_t, requestsDropped, "requests_dropped",              \
+      "commit/unpatch requests refused: queue full", Host)             \
+    X(std::uint64_t, acksLost, nullptr,                                \
+      "acks refused: ack queue full (never expected)", Host)           \
+    X(std::uint64_t, ticksProcessed, "ticks_processed",                \
+      "free-running poll ticks processed by the worker", Host)         \
+    X(std::uint64_t, barrierPolls, "barrier_polls",                    \
+      "barrier-mode polls executed by the worker", Host)               \
+    X(std::uint64_t, commitsApplied, "commits_applied",                \
+      "planned trace commits applied at safe points", Host)            \
+    X(std::uint64_t, commitsStale, "commits_stale",                    \
+      "planned trace commits refused stale at apply", Host)            \
+    X(std::uint64_t, epochStaleRequests, nullptr,                      \
+      "requests refused: plan epoch differs from apply epoch", Host)   \
+    X(std::uint64_t, watchdogHostCancels, "watchdog_host_cancels",     \
+      "host-time watchdog cancellations requested", Host)
+
 /**
  * Backpressure and apply accounting (the `optimizer.*` metrics).
  * Counters are split by owning thread; read the snapshot only after
@@ -160,17 +189,7 @@ struct UnpatchAck
  */
 struct OptimizerServiceStats
 {
-    std::uint64_t batchesEnqueued = 0;  ///< sample batches accepted
-    std::uint64_t batchesDropped = 0;   ///< queue full: consumer behind
-    std::uint64_t ticksDropped = 0;     ///< tick queue full (deltas carry)
-    std::uint64_t requestsDropped = 0;  ///< commit/unpatch queue full
-    std::uint64_t acksLost = 0;         ///< ack queue full (never expected)
-    std::uint64_t ticksProcessed = 0;
-    std::uint64_t barrierPolls = 0;
-    std::uint64_t commitsApplied = 0;   ///< traces patched by main
-    std::uint64_t commitsStale = 0;     ///< per-head validation failures
-    std::uint64_t epochStaleRequests = 0;  ///< plan epoch != apply epoch
-    std::uint64_t watchdogHostCancels = 0; ///< host-time watchdog fires
+    ADORE_STAT_FIELDS(OptimizerServiceStats, ADORE_OPTIMIZER_SERVICE_STATS)
 };
 
 class OptimizerService

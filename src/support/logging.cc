@@ -8,7 +8,7 @@ namespace adore
 
 namespace
 {
-bool verboseFlag = true;
+bool verboseFlag = false;
 
 void
 vreport(const char *tag, const char *fmt, va_list ap)

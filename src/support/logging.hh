@@ -30,7 +30,7 @@ void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Print an informational message; the simulation continues. */
 void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Enable/disable inform() output globally (benches silence it). */
+/** Enable/disable inform() output globally (off by default). */
 void setVerbose(bool verbose);
 bool verbose();
 

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "compiler/compiler.hh"
 #include "harness/experiment.hh"
 #include "workloads/common.hh"
@@ -77,6 +79,23 @@ TEST(AdoreRuntime, OptimizesStablePhaseAndSpeedsUp)
     EXPECT_GT(opt.adoreStats.pointerPrefetches, 0);
     EXPECT_LT(opt.cycles, base.cycles);
     EXPECT_LT(opt.cpi, base.cpi);
+}
+
+/** A library caller that never calls setVerbose() gets no decision
+ *  log: inform() output is off by default. */
+TEST(AdoreRuntime, SilentOnStderrByDefault)
+{
+    hir::Program prog = chaseProgram();
+    RunConfig cfg = baseConfig();
+    cfg.adore = true;
+    cfg.adoreConfig = Experiment::defaultAdoreConfig();
+
+    ::testing::internal::CaptureStderr();
+    RunMetrics m = Experiment::run(prog, cfg);
+    std::string err = ::testing::internal::GetCapturedStderr();
+
+    ASSERT_GE(m.adoreStats.tracesPatched, 1u);  // there were decisions
+    EXPECT_EQ(err, "");
 }
 
 TEST(AdoreRuntime, PatchingPreservesArchitecturalResults)

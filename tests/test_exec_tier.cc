@@ -29,7 +29,6 @@
 #include "harness/experiment.hh"
 #include "isa/builder.hh"
 #include "program/code_buffer.hh"
-#include "support/logging.hh"
 #include "workloads/workloads.hh"
 
 namespace adore
@@ -380,10 +379,9 @@ TEST(ExecTier, BundleCacheKnobKeepsMetricsBitIdentical)
 
 /** mcf_o2 with ADORE attached: sampling and decision accounting must be
  *  bit-identical across tiers (the ISSUE's sampling-parity gate; the
- *  full 17-workload sweep lives in test_tier_toggle.cc). */
+ *  full 17-workload sweep lives in test_toggle_sweep.cc). */
 TEST(ExecTier, SamplingParityOnMcfWithAdore)
 {
-    setVerbose(false);
     hir::Program prog = workloads::make("mcf");
 
     auto runTier = [&](ExecTier tier) {
@@ -438,7 +436,6 @@ TEST(ExecTier, SamplingParityOnMcfWithAdore)
  */
 TEST(ExecTier, GccO2BuildsFewBlocksAndEvictsNone)
 {
-    setVerbose(false);
     hir::Program prog = workloads::make("gcc");
     for (bool adore : {false, true}) {
         RunConfig cfg;

@@ -17,7 +17,6 @@
 #include <ostream>
 
 #include "harness/experiment.hh"
-#include "support/logging.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -74,7 +73,6 @@ class GoldenMetrics : public ::testing::TestWithParam<Golden>
 TEST_P(GoldenMetrics, BitIdenticalToSeedInterpreter)
 {
     const Golden &g = GetParam();
-    setVerbose(false);
 
     hir::Program prog = workloads::make(g.name);
     RunConfig cfg;

@@ -17,7 +17,6 @@
 #include "mem/hierarchy.hh"
 #include "mem/hw_prefetch.hh"
 #include "runtime/hwpf_controller.hh"
-#include "support/logging.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -320,7 +319,6 @@ restrictedO2()
 
 TEST(HwpfEndToEnd, EnabledEngineIssuesThroughSharedBus)
 {
-    setVerbose(false);
     hir::Program prog = workloads::make("art");
     RunConfig cfg = restrictedO2();
     cfg.machine.hier.hwPrefetch.enabled = true;
@@ -348,7 +346,6 @@ class HwpfToggle : public ::testing::TestWithParam<std::string>
  */
 TEST_P(HwpfToggle, DisabledZooIsByteIdentical)
 {
-    setVerbose(false);
     hir::Program prog = workloads::make(GetParam());
 
     RunConfig plain = restrictedO2();

@@ -18,7 +18,6 @@
 
 #include "harness/experiment.hh"
 #include "runtime/spsc_queue.hh"
-#include "support/logging.hh"
 #include "workloads/common.hh"
 
 namespace
@@ -142,7 +141,6 @@ serviceConfig(OptimizerMode mode)
 
 TEST(OptimizerService, BarrierDropAccountingSplitsDropCauses)
 {
-    setVerbose(false);
     // Capacity-1 queue with a fast sampler: ~8 SSB overflows per poll
     // period, so all but the first batch of each period hit a full
     // queue and must be dropped *at the producer* and attributed to the
@@ -178,7 +176,6 @@ TEST(OptimizerService, BarrierDropAccountingSplitsDropCauses)
 
 TEST(OptimizerService, VirtualWatchdogCancelsStalledPhase)
 {
-    setVerbose(false);
     // Every optimizePhase entry draws a 400k-cycle injected stall,
     // which exceeds the 150k-cycle deadline: the deterministic watchdog
     // must cancel every optimization attempt, patch nothing, and step
@@ -203,7 +200,6 @@ TEST(OptimizerService, VirtualWatchdogCancelsStalledPhase)
 
 TEST(OptimizerService, FreeRunningProducerFasterThanConsumer)
 {
-    setVerbose(false);
     // Stall the worker inside optimizePhase while the mutator keeps
     // producing sample batches into a capacity-1 queue: the producer
     // must drop at the queue (never block) and both sides must agree
@@ -231,7 +227,6 @@ TEST(OptimizerService, FreeRunningProducerFasterThanConsumer)
 
 TEST(OptimizerService, HostWatchdogCancelsStalledPhase)
 {
-    setVerbose(false);
     // Free-running only: the mutator's poll watches the worker's phase
     // wall-clock and requests cancellation past the ns deadline.  The
     // hook stalls each candidate trace ~5 ms against a 0.2 ms deadline,
@@ -259,7 +254,6 @@ TEST(OptimizerService, HostWatchdogCancelsStalledPhase)
 
 TEST(OptimizerService, ShutdownWithMessagesStillQueued)
 {
-    setVerbose(false);
     // Hit the cycle budget while the worker is stalled inside a phase
     // with sample batches and ticks still queued: detach must join the
     // worker, drain the leftovers on one thread, and leak nothing

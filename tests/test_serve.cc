@@ -23,7 +23,6 @@
 #include "serve/json.hh"
 #include "serve/result_cache.hh"
 #include "serve/server.hh"
-#include "support/logging.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -373,7 +372,6 @@ TEST(ServeProtocol, CanonicalKeySeparatesEveryInput)
 
 TEST(ServeCancel, RaisedFlagStopsRunEarly)
 {
-    setVerbose(false);
     hir::Program prog = workloads::make("mcf");
     JobRequest req;
     req.workload = "mcf";
@@ -427,7 +425,6 @@ endlessKernel()
 
 TEST(ServeDaemon, ResultBitIdenticalToOneShotRun)
 {
-    setVerbose(false);
     DaemonConfig cfg = quickConfig();
     Daemon daemon(cfg);
     JobRequest req = quickJob();
@@ -453,7 +450,6 @@ TEST(ServeDaemon, ResultBitIdenticalToOneShotRun)
 
 TEST(ServeDaemon, SecondIdenticalSubmitHitsCache)
 {
-    setVerbose(false);
     Daemon daemon(quickConfig());
     JobRequest req = quickJob();
     Daemon::SubmitResult first = daemon.submit(req);
@@ -490,7 +486,6 @@ TEST(ServeDaemon, InvalidRequestsRejectedStructured)
 
 TEST(ServeDaemon, InjectedAbortsRetryThenDeadLetter)
 {
-    setVerbose(false);
     DaemonConfig cfg = quickConfig();
     cfg.faults.seed = 1;
     cfg.faults.workerAbortRate = 1.0;  // every attempt aborts
@@ -515,7 +510,6 @@ TEST(ServeDaemon, InjectedAbortsRetryThenDeadLetter)
 
 TEST(ServeDaemon, WorkerExceptionIsolatedFromOtherJobs)
 {
-    setVerbose(false);
     // A malformed-at-runtime job: the kernel parses but the daemon's
     // abort channel is off, so we use attempts=1 + abort on exactly
     // this job via rate 1.0 and a healthy second daemonless check is
@@ -542,7 +536,6 @@ TEST(ServeDaemon, WorkerExceptionIsolatedFromOtherJobs)
 
 TEST(ServeDaemon, QueueStallsDelayButNeverLoseJobs)
 {
-    setVerbose(false);
     DaemonConfig cfg = quickConfig();
     cfg.faults.seed = 3;
     cfg.faults.queueStallRate = 1.0;  // stall every dequeue...
@@ -560,7 +553,6 @@ TEST(ServeDaemon, QueueStallsDelayButNeverLoseJobs)
 
 TEST(ServeDaemon, CorruptedCacheReadFallsBackToRecompute)
 {
-    setVerbose(false);
     DaemonConfig cfg = quickConfig();
     cfg.faults.seed = 5;
     cfg.faults.cacheCorruptRate = 1.0;  // every cache read corrupted
@@ -588,7 +580,6 @@ TEST(ServeDaemon, CorruptedCacheReadFallsBackToRecompute)
 
 TEST(ServeDaemon, DeadlineTimeoutDeadLettersWithRecord)
 {
-    setVerbose(false);
     DaemonConfig cfg = quickConfig();
     cfg.maxAttempts = 2;
     cfg.monitorPeriodMs = 2;
@@ -613,7 +604,6 @@ TEST(ServeDaemon, DeadlineTimeoutDeadLettersWithRecord)
 
 TEST(ServeDaemon, AdmissionControlShedsLoad)
 {
-    setVerbose(false);
     DaemonConfig cfg = quickConfig();
     cfg.workers = 1;
     cfg.admissionLimit = 2;
@@ -638,7 +628,6 @@ TEST(ServeDaemon, AdmissionControlShedsLoad)
 
 TEST(ServeDaemon, DrainCompletesEverythingAndClosesAdmission)
 {
-    setVerbose(false);
     Daemon daemon(quickConfig());
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < 6; ++i) {
@@ -663,7 +652,6 @@ TEST(ServeDaemon, DrainCompletesEverythingAndClosesAdmission)
 
 TEST(ServeDaemon, ShutdownNowAccountsForEveryJob)
 {
-    setVerbose(false);
     DaemonConfig cfg = quickConfig();
     cfg.workers = 1;  // force a backlog
     Daemon daemon(cfg);
@@ -697,7 +685,6 @@ TEST(ServeDaemon, ShutdownNowAccountsForEveryJob)
 
 TEST(ServeServer, HandleLineFullProtocolFlow)
 {
-    setVerbose(false);
     Daemon daemon(quickConfig());
 
     HandleResult r = handleLine(daemon, R"({"op":"ping"})");

@@ -18,7 +18,6 @@
 
 #include "harness/experiment.hh"
 #include "support/thread_pool.hh"
-#include "support/logging.hh"
 #include "workloads/workloads.hh"
 
 using namespace adore;
@@ -84,7 +83,6 @@ TEST(ThreadPool, SubmitCarriesExceptionInFuture)
 
 TEST(RunMany, MatchesSerialRunsBitIdentically)
 {
-    setVerbose(false);
     hir::Program gzip = workloads::make("gzip");
     hir::Program art = workloads::make("art");
 
@@ -126,7 +124,6 @@ TEST(RunMany, MatchesSerialRunsBitIdentically)
 
 TEST(RunMany, SingleJobFallbackWorks)
 {
-    setVerbose(false);
     hir::Program gzip = workloads::make("gzip");
     RunConfig cfg;
     cfg.compile.level = OptLevel::O2;
@@ -210,7 +207,6 @@ TEST(ThreadPool, RequestCancelIsObservableFromTasks)
 
 TEST(RunManyChecked, IsolatesThrowingJobFromBatchMates)
 {
-    setVerbose(false);
     hir::Program gzip = workloads::make("gzip");
     RunConfig good;
     good.compile.level = OptLevel::O2;
@@ -250,7 +246,6 @@ TEST(RunMany, ThrowingJobAggregatesAfterBatchCompletes)
     // Regression: a worker exception used to void the whole batch with
     // whatever exception happened to surface first.  Now every spec
     // still runs and runMany throws one aggregated, indexed error.
-    setVerbose(false);
     hir::Program gzip = workloads::make("gzip");
     RunConfig good;
     good.compile.level = OptLevel::O2;

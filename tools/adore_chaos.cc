@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "harness/chaos.hh"
-#include "support/logging.hh"
 
 using namespace adore;
 
@@ -141,7 +140,6 @@ main(int argc, char **argv)
         return usage(argv[0]);
     }
 
-    setVerbose(false);
     std::printf("exec tier: %s\n", execTierName(spec.execTier));
     ChaosReport report = Experiment::runChaos(spec);
     std::fputs(report.table().c_str(), stdout);

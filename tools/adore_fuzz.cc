@@ -34,7 +34,6 @@
 #include <string>
 
 #include "harness/fuzz.hh"
-#include "support/logging.hh"
 #include "workloads/generator.hh"
 
 using namespace adore;
@@ -208,7 +207,6 @@ main(int argc, char **argv)
         return usage(argv[0]);
     }
 
-    setVerbose(false);
     if (!replayPath.empty())
         return replay(replayPath, spec);
     if (doShrink)

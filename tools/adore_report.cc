@@ -30,7 +30,6 @@
 #include "cpu/cpu.hh"
 #include "observe/exporters.hh"
 #include "observe/report.hh"
-#include "support/logging.hh"
 
 using namespace adore;
 
@@ -104,8 +103,6 @@ regenExperiments(const std::string &path, bool check)
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
-
     std::string scenario;
     std::string out_path;
     std::string trace_path;

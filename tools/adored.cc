@@ -34,7 +34,6 @@
 #include <unistd.h>
 
 #include "serve/server.hh"
-#include "support/logging.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -266,8 +265,6 @@ selftestSoak(DaemonConfig cfg, std::uint64_t jobs, std::uint64_t seed,
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
-
     DaemonConfig cfg;
     std::string socketPath;
     std::uint64_t soakJobs = 0;
