@@ -38,13 +38,14 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hh"
 #include "cpu/cpu.hh"
 #include "isa/builder.hh"
+#include "observe/figures.hh"
 #include "program/code_buffer.hh"
+#include "support/table.hh"
+#include "workloads/workloads.hh"
 
 using namespace adore;
-using namespace adore::bench;
 
 namespace
 {
@@ -289,7 +290,8 @@ runWorkloadScenario(const std::string &name, bool adore, int repeats,
     res.name = name + (adore ? "_o2_adore" : "_o2");
     res.bestWallSeconds = 1e300;
     hir::Program prog = workloads::make(name);
-    RunConfig cfg = workloadConfig(restrictedOptions(OptLevel::O2), adore);
+    RunConfig cfg = report::armConfig(adore ? report::Arm::O2Adore
+                                            : report::Arm::O2Base);
     cfg.machine.cpu.execTier = tier;
     for (int rep = 0; rep < repeats; ++rep) {
         double t0 = now();
@@ -365,7 +367,10 @@ main(int argc, char **argv)
     if (repeats < 1)
         repeats = 1;
 
-    printHeader("Simulator self-benchmark (simulated MIPS on this host)");
+    std::fputs(report::banner("Simulator self-benchmark (simulated MIPS "
+                              "on this host)")
+                   .c_str(),
+               stdout);
     std::printf("execution tier: %s\n\n", execTierName(tier));
 
     /*

@@ -153,6 +153,13 @@ echo "$SERVE_OUT" | grep -q '"drained": *true'
 "$BUILD_DIR"/tools/adore_report --regen-experiments --check
 scripts/check_md_links.sh
 
+# Figure-catalogue smoke: the console renderers outside the generated
+# blocks have no other CI coverage.  The two time-series figures are
+# the cheapest entries (two runs each) and exercise the bespoke-job
+# path of the catalogue.
+"$BUILD_DIR"/tools/adore_report --figure fig08 >/dev/null
+"$BUILD_DIR"/tools/adore_report --figure fig09 >/dev/null
+
 if [[ "${ADORE_CI_SKIP_SANITIZERS:-0}" != "1" ]]; then
     SAN_DIR="${BUILD_DIR}-asan"
     SAN_FLAGS="-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"

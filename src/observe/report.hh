@@ -12,7 +12,8 @@
  *
  * regenerateExperiments() rewrites the generated blocks of
  * EXPERIMENTS.md (delimited by `<!-- BEGIN GENERATED: <tag> -->` /
- * `<!-- END GENERATED: <tag> -->` markers) from fresh measurements.
+ * `<!-- END GENERATED: <tag> -->` markers) from fresh measurements; each
+ * tag names the figure-catalogue entry (figures.hh) that renders it.
  * Simulations are deterministic — bit-identical across hosts and thread
  * counts — so `adore_report --regen-experiments --check` is a stable
  * docs-drift gate in CI.
@@ -64,11 +65,31 @@ ScenarioResult runScenario(const std::string &name);
 /** The per-benchmark markdown report for @p result. */
 std::string markdownReport(const ScenarioResult &result);
 
+/** One `<!-- BEGIN/END GENERATED: <tag> -->` marker pair. */
+struct GeneratedBlock
+{
+    std::string tag;            ///< the catalogue entry that renders it
+    std::size_t bodyBegin = 0;  ///< offset just past the BEGIN marker
+    std::size_t bodyEnd = 0;    ///< offset of the END marker line
+};
+
+/**
+ * The generated blocks of @p text, in document order.  A marker is a
+ * line that starts with `<!-- BEGIN GENERATED: ` or
+ * `<!-- END GENERATED: `.  Every BEGIN must be followed by the END of
+ * the same tag before the next marker, no tag may appear twice, and
+ * every tag must name a catalogue entry that renders a block
+ * (figures.hh).  Throws std::runtime_error naming the line and tag of
+ * the first violation.
+ */
+std::vector<GeneratedBlock> generatedBlocks(const std::string &text);
+
 /**
  * Recompute every generated block of @p text (the current
  * EXPERIMENTS.md contents) from fresh simulations and return the
- * updated document.  Unknown tags and text outside marker pairs are
- * left untouched.
+ * updated document; text outside the blocks is left untouched.  The
+ * markers are validated by generatedBlocks() before anything is
+ * simulated, so a malformed document throws std::runtime_error.
  */
 std::string regenerateExperiments(const std::string &text);
 

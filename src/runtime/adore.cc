@@ -176,8 +176,9 @@ AdoreRuntime::consumeWindows(Cycle now)
             if (CodeImage::inPool(phase.pcCenter)) {
                 // Already running out of the trace pool: skip to avoid
                 // re-optimization (Section 2.3) — but keep monitoring:
-                // when enabled, a batch whose in-pool CPI regressed
-                // past the pre-optimization level is unpatched.
+                // with guardrails on, a batch whose in-pool CPI
+                // regressed past the pre-optimization level is
+                // unpatched in stages.
                 ++stats_.phasesSkippedInPool;
                 if (events_) {
                     events_->emit(observe::PhaseSkippedEvent{
@@ -185,15 +186,8 @@ AdoreRuntime::consumeWindows(Cycle now)
                         batches_.empty() ? 0.0
                                          : batches_.back().cpiBefore});
                 }
-                if (guardrails_) {
+                if (guardrails_)
                     guardrailProfitabilityCheck(phase);
-                } else if (config_.revertUnprofitableTraces &&
-                           !batches_.empty() &&
-                           !batches_.back().reverted &&
-                           phase.cpi > batches_.back().cpiBefore *
-                                           config_.revertCpiRatio) {
-                    revertBatch(batches_.back());
-                }
             } else if (!phase.highMissRate) {
                 ++stats_.phasesSkippedLowMiss;
                 if (events_) {
@@ -305,7 +299,7 @@ AdoreRuntime::guardrailProfitabilityCheck(const PhaseInfo &phase)
                 // Stage 1: surgically revert only the offending trace.
                 batch.revertStage = 1;
                 if (deferred) {
-                    service_->requestUnpatch(bi, {t.head}, false,
+                    service_->requestUnpatch(bi, {t.head},
                                              UnpatchKind::Staged);
                 } else if (unpatchHead(batch, t.head, false)) {
                     guardrails_->noteStagedRevert(t.head);
@@ -321,7 +315,7 @@ AdoreRuntime::guardrailProfitabilityCheck(const PhaseInfo &phase)
                     batch.revertStage = 2;
                     if (!heads.empty()) {
                         service_->requestUnpatch(bi, std::move(heads),
-                                                 false, UnpatchKind::Full);
+                                                 UnpatchKind::Full);
                     }
                 } else {
                     std::uint64_t n = 0;
@@ -450,42 +444,6 @@ AdoreRuntime::writeTraceToPool(const Trace &trace,
     code.patch(trace.startAddr, base);
     stats_.regionGenBumps += code.regionBumpCount() - bumps_before;
     return base;
-}
-
-void
-AdoreRuntime::revertBatch(OptimizedBatch &batch)
-{
-    if (deferredCommits()) {
-        // Free-running: defer the unpatches to the main thread; the
-        // bookkeeping completes when the ack comes back.  Marking the
-        // batch reverted now prevents a re-trigger on the next window.
-        std::size_t bi = &batch - batches_.data();
-        std::vector<Addr> heads;
-        for (const PatchedTrace &t : batch.traces) {
-            blacklist_.insert(t.head);
-            if (service_->shadowRevertible(t.head))
-                heads.push_back(t.head);
-        }
-        batch.reverted = true;
-        ++stats_.phasesReverted;
-        if (!heads.empty()) {
-            service_->requestUnpatch(bi, std::move(heads), true,
-                                     UnpatchKind::Legacy);
-        }
-        return;
-    }
-
-    // Charge per still-patched head: each unpatch is its own brief
-    // stop-and-copy pause, exactly like the patch that installed it
-    // (unpatchHead charges patchCyclesPerTrace per head it reverts).
-    for (const PatchedTrace &t : batch.traces) {
-        if (!unpatchHead(batch, t.head, true))
-            blacklist_.insert(t.head);  // keep blacklist-all semantics
-    }
-    if (!batch.reverted) {
-        batch.reverted = true;
-        ++stats_.phasesReverted;
-    }
 }
 
 bool

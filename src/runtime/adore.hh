@@ -93,21 +93,13 @@ struct AdoreConfig
      */
     std::function<bool(Addr)> swpLoopFilter;
     /**
-     * Extension (paper Section 2.3 suggests it, their implementation
-     * did not do it): keep monitoring optimized traces and *unpatch*
-     * an optimization batch whose in-pool CPI turns out worse than the
-     * phase it replaced.  Off by default to match the paper's system;
-     * bench/ablation_adore_params.cc measures its effect.
-     */
-    bool revertUnprofitableTraces = false;
-    /** CPI growth ratio that triggers a revert. */
-    double revertCpiRatio = 1.05;
-    /**
      * Self-healing guardrails (DESIGN.md §10): staged per-trace revert
      * with re-optimization backoff, sampling-rate backoff on phase
      * thrash, prefetch auto-throttle, and recoverable resource
-     * failures.  Off by default; independent of (and superseding, when
-     * enabled) the legacy revertUnprofitableTraces whole-batch check.
+     * failures.  Off by default to match the paper's system; the
+     * staged revert is the paper's Section 2.3 "detect and fix
+     * nonprofitable ones", which their implementation did not do
+     * (`adore_report --figure ablation` §3 measures it).
      */
     GuardrailConfig guardrails{};
     /**
@@ -354,13 +346,10 @@ class AdoreRuntime
         std::size_t patchedCount = 0;
     };
 
-    /** Revert the most recent unreverted batch (unpatch its heads). */
-    void revertBatch(OptimizedBatch &batch);
-
     /**
      * Unpatch one head of @p batch (stats + event + charge); marks the
      * batch reverted when its last head goes.  @p blacklist routes the
-     * head to the permanent blacklist (legacy semantics) instead of the
+     * head to the permanent blacklist (external reverts) instead of the
      * guardrails' backoff.  @return false when not patched.
      */
     bool unpatchHead(OptimizedBatch &batch, Addr head, bool blacklist);

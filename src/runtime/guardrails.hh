@@ -66,8 +66,7 @@ struct GuardrailConfig
 
     // --- staged revert + re-optimization backoff ---
     /** CPI growth ratio (vs. pre-optimization CPI) that triggers a
-     *  staged revert.  Mirrors AdoreConfig::revertCpiRatio but applies
-     *  to the per-trace guardrail path. */
+     *  staged revert. */
     double revertCpiRatio = 1.05;
     /** Polls a head is blocked after its first revert. */
     std::uint32_t reoptBackoffInitialPolls = 8;

@@ -274,10 +274,10 @@ OptimizerService::applyUnpatchAck(const UnpatchAck &ack)
         ++rt_.stats_.tracesUnpatched;
         if (rt_.events_)
             rt_.events_->emit(observe::TraceRevertedEvent{head});
-        if (ack.blacklist || !rt_.guardrails_)
-            rt_.blacklist_.insert(head);
-        else
+        if (rt_.guardrails_)
             rt_.guardrails_->noteTraceReverted(head);
+        else
+            rt_.blacklist_.insert(head);
         if (batch && batch->patchedCount > 0)
             --batch->patchedCount;
     }
@@ -287,10 +287,8 @@ OptimizerService::applyUnpatchAck(const UnpatchAck &ack)
         else if (ack.kind == UnpatchKind::Full)
             rt_.guardrails_->noteFullRevert(ack.heads.front(), done);
     }
-    // Legacy reverts mark the batch at enqueue (revertBatch); the staged
-    // paths complete it here, when the last patched head goes.
-    if (ack.kind != UnpatchKind::Legacy && batch &&
-        batch->patchedCount == 0 && !batch->reverted) {
+    // The batch is reverted when its last patched head goes.
+    if (batch && batch->patchedCount == 0 && !batch->reverted) {
         batch->reverted = true;
         ++rt_.stats_.phasesReverted;
     }
@@ -332,13 +330,11 @@ OptimizerService::requestCommit(double cpi_before,
 
 void
 OptimizerService::requestUnpatch(std::size_t batch_index,
-                                 std::vector<Addr> heads, bool blacklist,
-                                 UnpatchKind kind)
+                                 std::vector<Addr> heads, UnpatchKind kind)
 {
     UnpatchRequest req;
     req.token = ++tokenCounter_;
     req.batchIndex = batch_index;
-    req.blacklist = blacklist;
     req.kind = kind;
     for (Addr h : heads)
         unpatchPending_.insert(h);
@@ -532,7 +528,6 @@ OptimizerService::applyRequests()
         UnpatchAck ack;
         ack.token = ureq.token;
         ack.batchIndex = ureq.batchIndex;
-        ack.blacklist = ureq.blacklist;
         ack.kind = ureq.kind;
         ack.heads = std::move(ureq.heads);
         ack.done.assign(ack.heads.size(), false);

@@ -131,14 +131,12 @@ enum class UnpatchKind
 {
     Staged,  ///< guardrail stage-1 single-trace revert
     Full,    ///< guardrail stage-2 whole-batch revert
-    Legacy,  ///< revertUnprofitableTraces whole-batch revert
 };
 
 struct UnpatchRequest
 {
     std::uint64_t token = 0;
     std::size_t batchIndex = 0;
-    bool blacklist = false;
     UnpatchKind kind = UnpatchKind::Staged;
     std::vector<Addr> heads;
 };
@@ -147,7 +145,6 @@ struct UnpatchAck
 {
     std::uint64_t token = 0;
     std::size_t batchIndex = 0;
-    bool blacklist = false;
     UnpatchKind kind = UnpatchKind::Staged;
     std::vector<Addr> heads;
     std::vector<bool> done;  ///< head i was patched and got unpatched
@@ -235,7 +232,7 @@ class OptimizerService
 
     /** Queue an unpatch for main to apply at its next safe point. */
     void requestUnpatch(std::size_t batch_index, std::vector<Addr> heads,
-                        bool blacklist, UnpatchKind kind);
+                        UnpatchKind kind);
 
     /** Phase-detector doubleWindow deferred to main (sampler owner). */
     void requestDoubleWindow();

@@ -225,47 +225,6 @@ TEST(AdoreRuntime, ShortRunNeverReachesStablePhase)
     EXPECT_EQ(m.adoreStats.phasesOptimized, 0u);  // gzip's fate
 }
 
-TEST(AdoreRuntime, RevertsNonprofitableBatch)
-{
-    // A fully shuffled list: the induction-pointer prefetch issues
-    // junk, the optimized trace regresses, and (with the extension on)
-    // ADORE unpatches it and blacklists the head.
-    hir::Program prog;
-    prog.name = "shuffled";
-    int list = workloads::linkedList(prog, "nodes", 12'000, 96, 1.0);
-    hir::LoopBody warm;
-    warm.chases.push_back({list, 8});
-    workloads::phase(prog, workloads::addLoop(prog, "warm", 11'900,
-                                              warm),
-                     1);
-    hir::LoopBody body;
-    body.chases.push_back({list, 8});
-    body.extraIntOps = 6;
-    workloads::phase(prog, workloads::addLoop(prog, "walk", 11'900,
-                                              body),
-                     40);
-
-    RunConfig off = baseConfig();
-    off.adore = true;
-    off.adoreConfig = Experiment::defaultAdoreConfig();
-    RunMetrics plain = Experiment::run(prog, off);
-
-    RunConfig on = off;
-    on.adoreConfig.revertUnprofitableTraces = true;
-    RunMetrics rev = Experiment::run(prog, on);
-
-    EXPECT_GE(rev.adoreStats.phasesReverted, 1u);
-    EXPECT_GE(rev.adoreStats.tracesUnpatched, 1u);
-    // The revert must recover a substantial part of the regression.
-    EXPECT_LT(rev.cycles, plain.cycles);
-}
-
-TEST(AdoreRuntime, RevertOffByDefault)
-{
-    AdoreConfig cfg;
-    EXPECT_FALSE(cfg.revertUnprofitableTraces);
-}
-
 TEST(AdoreRuntime, DetachStopsSampling)
 {
     hir::Program prog = chaseProgram();

@@ -6,9 +6,6 @@
  *  - unit tests of the four state machines (re-optimization backoff,
  *    sampling backoff, prefetch throttle, recoverable failures);
  *  - the capacity-bounded trace pool (CodeImage::tryAllocTrace);
- *  - the legacy revertUnprofitableTraces path: the revert fires at
- *    revertCpiRatio, reverted heads are never re-optimized, and the
- *    stats agree with the emitted TraceRevertedEvents;
  *  - the guardrail staged-revert path and pool-exhaustion handling
  *    end to end.
  */
@@ -16,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -235,7 +231,7 @@ TEST(CodeImagePool, TryAllocRejectsWhenFull)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: legacy revert path (satellite coverage)
+// End-to-end: guardrail staged revert
 // ---------------------------------------------------------------------
 
 /** The shuffled-list workload whose optimized trace regresses. */
@@ -266,61 +262,6 @@ baseConfig()
     cfg.compile.reserveAdoreRegs = true;
     return cfg;
 }
-
-TEST(LegacyRevert, FiresAtRevertCpiRatioAndMatchesEvents)
-{
-    hir::Program prog = regressingProgram();
-
-    observe::EventTrace events(1 << 16);
-    events.enable();
-
-    RunConfig cfg = baseConfig();
-    cfg.adore = true;
-    cfg.adoreConfig = Experiment::defaultAdoreConfig();
-    cfg.adoreConfig.revertUnprofitableTraces = true;
-    cfg.adoreConfig.events = &events;
-    RunMetrics m = Experiment::run(prog, cfg);
-
-    EXPECT_GE(m.adoreStats.phasesReverted, 1u);
-    EXPECT_GE(m.adoreStats.tracesUnpatched, 1u);
-
-    // Stats must agree with the emitted TraceRevertedEvents, and a
-    // reverted head must never be re-optimized (no TracePatched for the
-    // same head after its TraceReverted).
-    std::uint64_t reverted_events = 0;
-    std::unordered_set<std::uint64_t> reverted_heads;
-    for (const observe::Event &e : events.snapshot()) {
-        if (const auto *r =
-                std::get_if<observe::TraceRevertedEvent>(&e.payload)) {
-            ++reverted_events;
-            reverted_heads.insert(r->origAddr);
-        } else if (const auto *p =
-                       std::get_if<observe::TracePatchedEvent>(
-                           &e.payload)) {
-            EXPECT_EQ(reverted_heads.count(p->origAddr), 0u)
-                << "reverted head 0x" << std::hex << p->origAddr
-                << " was re-optimized";
-        }
-    }
-    EXPECT_EQ(reverted_events, m.adoreStats.tracesUnpatched);
-
-    // An absurdly large ratio must never trigger the revert.
-    observe::EventTrace quiet(1 << 16);
-    quiet.enable();
-    RunConfig lax = cfg;
-    lax.adoreConfig.revertCpiRatio = 1e9;
-    lax.adoreConfig.events = &quiet;
-    RunMetrics m2 = Experiment::run(prog, lax);
-    EXPECT_EQ(m2.adoreStats.phasesReverted, 0u);
-    EXPECT_EQ(m2.adoreStats.tracesUnpatched, 0u);
-    for (const observe::Event &e : quiet.snapshot())
-        EXPECT_EQ(std::get_if<observe::TraceRevertedEvent>(&e.payload),
-                  nullptr);
-}
-
-// ---------------------------------------------------------------------
-// End-to-end: guardrail staged revert
-// ---------------------------------------------------------------------
 
 TEST(GuardrailsEndToEnd, StagedRevertRecoversRegression)
 {

@@ -13,6 +13,10 @@
  *                                       trace of the optimizer decisions
  *   adore_report mcf_o2 --log           raw decision log
  *   adore_report --list                 every scenario name
+ *   adore_report --figure NAME|all      print one catalogue entry (a
+ *                                       paper table or figure) or all
+ *                                       of them; an unknown NAME lists
+ *                                       the valid ones
  *   adore_report --regen-experiments [--check] [--file EXPERIMENTS.md]
  *                                       rewrite (or verify) the
  *                                       generated measured tables
@@ -25,10 +29,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cpu/cpu.hh"
 #include "observe/exporters.hh"
+#include "observe/figures.hh"
 #include "observe/report.hh"
 
 using namespace adore;
@@ -43,10 +50,11 @@ usage(const char *argv0)
                  "usage: %s <scenario> [--json] [--prom] [--log] "
                  "[--trace FILE] [--out FILE]\n"
                  "       %s --list\n"
+                 "       %s --figure NAME|all\n"
                  "       %s --regen-experiments [--check] [--file PATH]\n"
                  "scenarios are <workload>_<o2|o3>, e.g. mcf_o2 "
                  "(see --list)\n",
-                 argv0, argv0, argv0);
+                 argv0, argv0, argv0, argv0);
     return 2;
 }
 
@@ -61,6 +69,35 @@ listScenarios()
     return 0;
 }
 
+/** Print catalogue entry @p name, or every entry for "all". */
+int
+printFigures(const std::string &name)
+{
+    bool all = name == "all";
+    std::vector<const report::Figure *> figures;
+    for (const report::Figure &fig : report::figureCatalogue())
+        if (all || fig.name == name)
+            figures.push_back(&fig);
+    if (figures.empty()) {
+        std::fprintf(stderr, "unknown figure '%s'; valid names:",
+                     name.c_str());
+        for (const report::Figure &fig : report::figureCatalogue())
+            std::fprintf(stderr, " %s", fig.name.c_str());
+        std::fprintf(stderr, " all\n");
+        return 2;
+    }
+    report::FigurePlan plan(figures);
+    std::vector<std::string> rendered = plan.run();
+    for (std::size_t i = 0; i < figures.size(); ++i) {
+        // A generated block prints alone exactly as EXPERIMENTS.md
+        // holds it; in the full listing its banner separates it.
+        if (all || !figures[i]->block)
+            std::fputs(report::banner(figures[i]->title).c_str(), stdout);
+        std::fputs(rendered[i].c_str(), stdout);
+    }
+    return 0;
+}
+
 int
 regenExperiments(const std::string &path, bool check)
 {
@@ -70,7 +107,14 @@ regenExperiments(const std::string &path, bool check)
                      path.c_str());
         return 1;
     }
-    std::string updated = report::regenerateExperiments(current);
+    std::string updated;
+    try {
+        updated = report::regenerateExperiments(current);
+    } catch (const std::runtime_error &e) {
+        std::fprintf(stderr, "adore_report: %s: %s\n", path.c_str(),
+                     e.what());
+        return 1;
+    }
     if (check) {
         if (updated != current) {
             std::fprintf(stderr,
@@ -107,6 +151,7 @@ main(int argc, char **argv)
     std::string out_path;
     std::string trace_path;
     std::string experiments_path = "EXPERIMENTS.md";
+    std::string figure;
     bool json = false;
     bool prom = false;
     bool log = false;
@@ -135,6 +180,8 @@ main(int argc, char **argv)
             trace_path = next();
         else if (arg == "--out")
             out_path = next();
+        else if (arg == "--figure")
+            figure = next();
         else if (arg == "--regen-experiments")
             regen = true;
         else if (arg == "--check")
@@ -155,6 +202,8 @@ main(int argc, char **argv)
 
     if (regen)
         return regenExperiments(experiments_path, check);
+    if (!figure.empty())
+        return scenario.empty() ? printFigures(figure) : usage(argv[0]);
     if (scenario.empty())
         return usage(argv[0]);
 
