@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: fresh warnings-on -O2 build, full test suite, a quick
-# self-benchmark smoke run (bench_smoke), and an ASan+UBSan build of the
-# test suite.  The sanitizer pass exists chiefly for the memory-hierarchy
-# fast paths: raw-index access into the SoA tag arrays and the Cpu-side
-# line buffers must never read stale or out-of-bounds host memory, and
-# the sanitizers catch that class of bug where the bit-identity tests
-# cannot (a wild read that happens to return the right answer).
+# Tier-1 CI gate: fresh warnings-on -O2 build, full test suite, and an
+# ASan+UBSan build of the test suite.  The sanitizer pass exists chiefly
+# for the memory-hierarchy fast paths: raw-index access into the SoA tag
+# arrays and the Cpu-side line buffers must never read stale or
+# out-of-bounds host memory, and the sanitizers catch that class of bug
+# where the bit-identity tests cannot (a wild read that happens to
+# return the right answer).
 #
 # A TSan build then runs the concurrency shard — the async-toggle and
 # optimizer-service tests plus a fixed-seed free-running chaos smoke —
@@ -18,16 +18,18 @@
 # full ctest sweep includes the TierToggle/ExecTier bit-identity suite
 # (and the ASan pass re-runs it with the executor's raw uop-array and
 # scoreboard indexing instrumented), and the chaos smoke runs with the
-# tier on.  Additions that keep both tiers honest: an interpreter-tier
-# chaos smoke so the legacy dispatch path cannot rot unexercised, an
-# explicit tier pin on the TSan free-running run so the executor's
-# quiesce/patch interaction stays under the race detector, a bench-smoke
-# perf gate that fails if the direct-threaded tier runs mcf_o2_adore or
-# gcc_o2 more than 5% slower than the interpreter (a tier that loses to
-# the path it replaces is a regression even when bit-identical), and an
-# explicit ASan re-run of the region-keyed chaining/invalidation
-# surface (ExecTier + TierToggle) since stale chain links are exactly
-# the use-after-free shape ASan exists to catch.
+# tier on.  The tier's performance gate is deterministic and lives in
+# that sweep: every TierToggle case bounds its direct-tier run's block
+# builds and evictions and requires block dispatches, so a block cache
+# that thrashes or a tier that never forms blocks fails ctest on any
+# host.  No CI step times the host.  Additions that keep both tiers
+# honest: an interpreter-tier chaos smoke so the legacy dispatch path
+# cannot rot unexercised, an explicit tier pin on the TSan free-running
+# run so the executor's quiesce/patch interaction stays under the race
+# detector, and an explicit ASan re-run of the region-keyed
+# chaining/invalidation surface (ExecTier + TierToggle) since stale
+# chain links are exactly the use-after-free shape ASan exists to
+# catch.
 #
 # Hardware-prefetcher coverage (DESIGN.md §13): a --hwpf chaos smoke
 # runs the zoo plus ADORE under the fault schedule (shared-bus
@@ -62,37 +64,6 @@ cmake -B "$BUILD_DIR" -S . "${GEN[@]}" \
     -DCMAKE_CXX_FLAGS="-O2 -Wall -Wextra"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
-cmake --build "$BUILD_DIR" --target bench_smoke
-
-# Bench-smoke perf gate (DESIGN.md §12): no gated scenario may run more
-# than 5% slower under the default direct-threaded tier than under the
-# interpreter.  mcf_o2_adore is the scenario the superblock tier exists
-# to speed up, and the one ADORE repatches while it runs; gcc_o2 has the
-# registry's largest code footprint, where a block cache that thrashes
-# makes the tier several times slower than the interpreter.  --quick
-# keeps the gate cheap; the margin absorbs host noise at --quick sizes.
-BENCH_TMP="$(mktemp -d)"
-bench_mips() {
-    sed -nE "s/.*\"name\": \"$2\".*\"sim_mips\": ([0-9.]+).*/\\1/p" "$1"
-}
-for SCENARIO in mcf_o2_adore gcc_o2; do
-    "$BUILD_DIR"/bench/self_benchmark --quick --only "$SCENARIO" \
-        --exec-tier interpreter --out "$BENCH_TMP/interp.json" >/dev/null
-    "$BUILD_DIR"/bench/self_benchmark --quick --only "$SCENARIO" \
-        --exec-tier direct --out "$BENCH_TMP/direct.json" >/dev/null
-    INTERP_MIPS="$(bench_mips "$BENCH_TMP/interp.json" "$SCENARIO")"
-    DIRECT_MIPS="$(bench_mips "$BENCH_TMP/direct.json" "$SCENARIO")"
-    echo "bench gate: $SCENARIO interpreter=${INTERP_MIPS:-?}" \
-         "direct=${DIRECT_MIPS:-?} sim-MIPS"
-    if ! awk -v d="${DIRECT_MIPS:-0}" -v i="${INTERP_MIPS:-0}" \
-            'BEGIN { exit !(d > 0 && i > 0 && d >= 0.95 * i) }'; then
-        rm -rf "$BENCH_TMP"
-        echo "ci.sh: FAIL - direct-threaded tier runs $SCENARIO >5%" \
-             "slower than the interpreter" >&2
-        exit 1
-    fi
-done
-rm -rf "$BENCH_TMP"
 
 # Chaos smoke: 3 workloads x 5 fixed fault seeds under the default
 # moderate fault schedule, baseline vs ADORE+guardrails.  Fails when any

@@ -56,7 +56,7 @@ Cpu::Cpu(CodeImage &code, CacheHierarchy &caches, MainMemory &memory,
     bundleCache_.resize(config.bundleCacheEntries);
     bundleCacheMask_ = config.bundleCacheEntries - 1;
     superblocks_ = std::make_unique<SuperblockCache>(
-        config.bundleCacheEntries, config.superblockMaxInvalidations);
+        config.bundleCacheEntries, kSuperblockMaxInvalidations);
 }
 
 Cpu::~Cpu() = default;
@@ -543,34 +543,27 @@ Cpu::run(Cycle max_cycles)
         // cheap "glue" entry block that chains into heavy loops is
         // valued by the work it leads to, not just its own bundles.
         // The counters and the demotion verdict are host-side only.
-        const std::uint32_t window = config_.superblockDemoteWindow;
-        const std::uint64_t min_retired =
-            config_.superblockMinRetiredPerDispatch;
         while (!halted_ && cycle_ < max_cycles &&
                !stopRequested_.load(std::memory_order_relaxed)) {
             Superblock *sb =
                 superblocks_->lookup(isa::bundleAddr(pc_), code_);
             if (sb) {
                 ++superblocks_->stats().dispatches;
-                if (window) {
-                    std::uint64_t before = counters_.retiredInsns;
-                    execSuperblock(sb, max_cycles);
-                    // sb stayed alive through the call: blocks die only
-                    // at lookup/insert/demote, and an in-flight entry
-                    // block is never stale at a chain lookup (mutations
-                    // force an event exit first).
-                    sb->workRetired += counters_.retiredInsns - before;
-                    if (++sb->windowDispatches >= window) {
-                        if (sb->workRetired <
-                            min_retired * sb->windowDispatches) {
-                            superblocks_->demote(sb, code_);
-                        } else {
-                            sb->workRetired = 0;
-                            sb->windowDispatches = 0;
-                        }
+                std::uint64_t before = counters_.retiredInsns;
+                execSuperblock(sb, max_cycles);
+                // sb stayed alive through the call: blocks die only at
+                // lookup/insert/demote, and an in-flight entry block is
+                // never stale at a chain lookup (mutations force an
+                // event exit first).
+                sb->workRetired += counters_.retiredInsns - before;
+                if (++sb->windowDispatches >= kSuperblockDemoteWindow) {
+                    if (sb->workRetired < kSuperblockMinRetiredPerDispatch *
+                                              sb->windowDispatches) {
+                        superblocks_->demote(sb, code_);
+                    } else {
+                        sb->workRetired = 0;
+                        sb->windowDispatches = 0;
                     }
-                } else {
-                    execSuperblock(sb, max_cycles);
                 }
                 seqNext_ = ~Addr{0};  // a block exit is a trace head
                 continue;

@@ -78,7 +78,7 @@ struct CpuConfig
      * training counters thrash and superblocks never form: 4 entries
      * only ever promoted loops of up to 4 bundles, which starved
      * ADORE-patched pool traces (init + prefetch bundles push the hot
-     * loop past 4).  64 matches superblockMaxBundles.  The same value
+     * loop past 4).  64 matches kSuperblockMaxBundles.  The same value
      * is the set count of the 4-way LRU superblock cache (same keying:
      * both track the bundles of the current hot region).  Host-only:
      * sizing cannot affect simulated metrics.
@@ -91,8 +91,6 @@ struct CpuConfig
      * threshold-th such arrival builds.  0 disables formation entirely.
      */
     std::uint32_t superblockHotThreshold = 16;
-    /** Maximum bundles stitched into one superblock. */
-    std::uint32_t superblockMaxBundles = 64;
     /**
      * Build-time peephole fusion of compare+branch pairs and the
      * loop-tail patterns into combined handlers.  Pure host
@@ -101,28 +99,6 @@ struct CpuConfig
      * tests/test_toggle_sweep.cc.
      */
     bool superblockFusion = true;
-    /**
-     * Chain block exits straight into the target block's uops instead
-     * of returning to the run() dispatch loop, keeping the hoisted
-     * executor state live across the transition.  Host-only.
-     */
-    bool superblockChaining = true;
-    /**
-     * Promotion profitability oracle: every this-many run()-level
-     * dispatches of a block, demote it if it averaged fewer than
-     * superblockMinRetiredPerDispatch retired instructions per dispatch
-     * (the block's excursions are too short to amortize entry costs).
-     * 0 disables demotion.
-     */
-    std::uint32_t superblockDemoteWindow = 64;
-    /** Demotion threshold: see superblockDemoteWindow. */
-    std::uint32_t superblockMinRetiredPerDispatch = 8;
-    /**
-     * Churn blacklist: a head whose blocks get invalidated this many
-     * times (ADORE repatching the same region over and over) is barred
-     * from further promotion.  0 disables.
-     */
-    std::uint32_t superblockMaxInvalidations = 64;
 };
 
 class Cpu

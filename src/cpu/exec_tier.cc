@@ -146,10 +146,8 @@ uopKindFor(Opcode op)
 void
 Cpu::buildSuperblockAt(Addr head)
 {
-    if (config_.superblockMaxBundles == 0 ||
-        config_.superblockHotThreshold == 0) {
+    if (config_.superblockHotThreshold == 0)
         return;
-    }
     if (superblocks_->probe(head, code_))
         return;
     // Profitability oracle: heads demoted for retiring too little work
@@ -170,7 +168,7 @@ Cpu::buildSuperblockAt(Addr head)
     std::vector<BodyBundle> body;
     bool loop_back = false;
     Addr addr = head;
-    while (body.size() < config_.superblockMaxBundles) {
+    while (body.size() < kSuperblockMaxBundles) {
         const Bundle *bundle = code_.fetchFast(addr);
         if (!bundle)
             break;
@@ -511,13 +509,13 @@ Cpu::buildSuperblockAt(Addr head)
  *  if a valid block is cached there, jump straight to its uops without
  *  returning to the run() loop, keeping the hoisted locals and the
  *  pending-ready watermark live.  Falls through to a plain exit when
- *  chaining is off, an exit is forced (halt/event/budget), or no valid
- *  target exists.  Safe because generations cannot have changed since
- *  this block's dispatch (mutations force an event exit first), so only
- *  the *target* needs revalidating — sbChainTarget does that. */
+ *  an exit is forced (halt/event/budget) or no valid target exists.
+ *  Safe because generations cannot have changed since this block's
+ *  dispatch (mutations force an event exit first), so only the
+ *  *target* needs revalidating — sbChainTarget does that. */
 #define SB_TRY_CHAIN()                                                  \
     do {                                                                \
-        if (chain_on && !halted_ && !event_exit && cyc < max_cycles) {  \
+        if (!halted_ && !event_exit && cyc < max_cycles) {              \
             Superblock *nb = sbChainTarget(next_pc);                    \
             if (nb) {                                                   \
                 cur = nb;                                               \
@@ -677,7 +675,6 @@ Cpu::execSuperblock(Superblock *sb, Cycle max_cycles)
     const Uop *base = cur->uops.data();
     const Uop *u = base;
     Addr sb_head = cur->head;
-    const bool chain_on = config_.superblockChaining;
 
     // Hot member state hoisted into locals (see the SB_SYNC_OUT comment).
     Cycle cyc;

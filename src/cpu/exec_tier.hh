@@ -55,6 +55,30 @@
 namespace adore
 {
 
+/** @name Superblock tier constants (host-only: none can change a
+ *  simulated result, and the toggle sweep pins the tier bit-identical
+ *  at these values).  Blocks always chain: a block exit that lands on
+ *  another valid block's head jumps straight to its uops. */
+/// @{
+/** Maximum bundles stitched into one superblock (one 1 KiB region). */
+constexpr std::uint32_t kSuperblockMaxBundles = 64;
+/**
+ * Promotion profitability oracle: every this-many run()-level
+ * dispatches of a block, demote it if it averaged fewer than
+ * kSuperblockMinRetiredPerDispatch retired instructions per dispatch
+ * (its excursions are too short to amortize entry costs).
+ */
+constexpr std::uint32_t kSuperblockDemoteWindow = 64;
+/** Demotion threshold: see kSuperblockDemoteWindow. */
+constexpr std::uint64_t kSuperblockMinRetiredPerDispatch = 8;
+/**
+ * Churn blacklist: a head whose blocks get invalidated this many times
+ * (ADORE repatching the same region over and over) is barred from
+ * further promotion.
+ */
+constexpr std::uint32_t kSuperblockMaxInvalidations = 64;
+/// @}
+
 /**
  * Micro-op kinds, one per executor handler.  The X-macro keeps the
  * enum, the computed-goto label table, and the switch fallback in sync

@@ -22,10 +22,6 @@ Experiment::defaultAdoreConfig()
     cfg.sampler.ssbSamples = 64;
     cfg.uebMultiplier = 16;
     cfg.pollPeriod = 64'000;
-    // The optimizer runs on its own thread behind the bounded sample
-    // queue; the barrier handshake keeps results bit-identical to the
-    // synchronous in-hook optimizer (tests/test_toggle_sweep.cc).
-    cfg.mode = OptimizerMode::AsyncBarrier;
     return cfg;
 }
 

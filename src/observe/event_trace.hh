@@ -10,8 +10,8 @@
  *
  *  - it is OFF by default: a disabled trace costs one predictable
  *    null-pointer/flag check on the (already cold) decision paths and
- *    nothing at all on the per-instruction hot path, so the simulator's
- *    self_benchmark numbers are unaffected;
+ *    nothing at all on the per-instruction hot path, so simulator
+ *    speed is unaffected;
  *  - it can be compiled out entirely with -DADORE_OBSERVE_DISABLED
  *    (CMake option ADORE_DISABLE_EVENT_TRACE), which turns emit() into
  *    an empty inline and enabled() into a constant false;

@@ -462,13 +462,31 @@ shuffledWalk()
     return prog;
 }
 
+/** The sweep points at the arms' own setting (k=3, R=4000) are the
+ *  O2Adore/O2Monitor arms themselves, so they read those runs instead
+ *  of simulating the same configuration again. */
+bool
+isArmTopK(int k)
+{
+    return k == armConfig(Arm::O2Adore).adoreConfig.maxPrefetchLoadsPerTrace;
+}
+
+bool
+isArmInterval(Cycle r)
+{
+    return r == armConfig(Arm::O2Adore).adoreConfig.sampler.interval;
+}
+
 void
 ablationJobs(FigurePlan &plan, Jobs &jobs)
 {
     // 1. Top-k delinquent loads per trace.
     for (const char *name : kTopKWorkloads) {
         plan.need(name, Arm::O2Base);
+        plan.need(name, Arm::O2Adore);
         for (int k = 1; k <= 4; ++k) {
+            if (isArmTopK(k))
+                continue;
             RunConfig cfg = armConfig(Arm::O2Adore);
             cfg.adoreConfig.maxPrefetchLoadsPerTrace = k;
             jobs.push_back({&plan.program(name), cfg});
@@ -476,8 +494,12 @@ ablationJobs(FigurePlan &plan, Jobs &jobs)
     }
     // 2. Sampling interval: mcf's speedup, mesa's monitoring cost.
     plan.need("mcf", Arm::O2Base);
+    plan.need("mcf", Arm::O2Adore);
     plan.need("mesa", Arm::O2Base);
+    plan.need("mesa", Arm::O2Monitor);
     for (Cycle r : kIntervals) {
+        if (isArmInterval(r))
+            continue;
         RunConfig cfg = armConfig(Arm::O2Adore);
         cfg.adoreConfig.sampler.interval = r;
         jobs.push_back({&plan.program("mcf"), cfg});
@@ -506,9 +528,13 @@ renderAblation(const FigurePlan &plan, const Results &runs)
         for (const char *name : kTopKWorkloads) {
             Cycle base = plan.arm(name, Arm::O2Base).cycles;
             std::vector<std::string> row = {name};
-            for (int k = 1; k <= 4; ++k)
-                row.push_back(Table::pct(
-                    Experiment::speedup(base, runs[job++].cycles)));
+            for (int k = 1; k <= 4; ++k) {
+                const RunMetrics &m = isArmTopK(k)
+                                          ? plan.arm(name, Arm::O2Adore)
+                                          : runs[job++];
+                row.push_back(
+                    Table::pct(Experiment::speedup(base, m.cycles)));
+            }
             t.addRow(row);
         }
         out += t.render() + "\n";
@@ -521,8 +547,11 @@ renderAblation(const FigurePlan &plan, const Results &runs)
         const RunMetrics &mcf = plan.arm("mcf", Arm::O2Base);
         const RunMetrics &mesa = plan.arm("mesa", Arm::O2Base);
         for (Cycle r : kIntervals) {
-            const RunMetrics &m = runs[job++];
-            const RunMetrics &o = runs[job++];
+            bool arm = isArmInterval(r);
+            const RunMetrics &m =
+                arm ? plan.arm("mcf", Arm::O2Adore) : runs[job++];
+            const RunMetrics &o =
+                arm ? plan.arm("mesa", Arm::O2Monitor) : runs[job++];
             t.addRow({std::to_string(r),
                       Table::pct(Experiment::speedup(mcf.cycles, m.cycles)),
                       Table::pct(overhead(mesa, o))});

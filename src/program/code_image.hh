@@ -39,7 +39,7 @@ class CodeImage
      * Region granularity for the generation counters: 64 bundles
      * (1 KiB).  Small enough that an ADORE patch (one bundle) bumps
      * only its own neighbourhood; large enough that a max-size
-     * superblock (superblockMaxBundles = 64) spans at most two
+     * superblock (kSuperblockMaxBundles = 64) spans at most two
      * regions, keeping spanGeneration() a two-load check.
      */
     static constexpr unsigned regionShift = 10;

@@ -47,11 +47,12 @@ class HwPrefetchController;
  * Where the optimizer poll body runs (DESIGN.md §11).
  *
  *  - Synchronous: inside the Cpu's periodic hook on the main thread —
- *    the original single-threaded runtime.
+ *    the original single-threaded runtime, and the default.
  *  - AsyncBarrier: on a real worker thread, but the main thread blocks
  *    at each poll until the worker finishes.  Bit-identical to
  *    Synchronous (the handshake orders every access) while exercising
- *    the full cross-thread queue/handshake machinery — the default.
+ *    the full cross-thread queue/handshake machinery — the oracle the
+ *    toggle sweep, the fuzz barrier arm and the TSan shard run.
  *  - FreeRunning: the worker runs concurrently with the interpreter;
  *    commits and reverts are applied by the main thread at poll-hook
  *    safe points.  Not bit-identical (commit timing shifts); used by

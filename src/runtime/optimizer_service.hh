@@ -37,12 +37,15 @@
  *     through Guardrails::noteWatchdogFire, stepping the prefetch
  *     throttle down.
  *
- * Modes (AdoreConfig::mode):
- *  - AsyncBarrier (default): the worker runs the *unchanged* poll body
- *    while the main thread blocks at the poll hook.  The mutex/condvar
- *    handshake orders every access in both directions, so the execution
- *    is bit-identical to Synchronous (tests/test_toggle_sweep.cc proves
- *    it across the workload registry) and race-free under TSan.
+ * Modes (AdoreConfig::mode; the default, Synchronous, runs no service):
+ *  - AsyncBarrier: the worker runs the *unchanged* poll body while the
+ *    main thread blocks at the poll hook.  The mutex/condvar handshake
+ *    orders every access in both directions, so the execution is
+ *    bit-identical to Synchronous (tests/test_toggle_sweep.cc proves it
+ *    across the workload registry) and race-free under TSan.  It is the
+ *    deterministic oracle for the worker and queue code FreeRunning
+ *    runs; the per-poll handshake costs host time, so it is not the
+ *    harness default.
  *  - FreeRunning: the worker runs concurrently with the interpreter,
  *    fed by sample batches and per-poll TickMsgs; commits/reverts are
  *    applied by main as described above.  Not bit-identical (commit

@@ -15,9 +15,9 @@
  * never invalidates a block in untouched region B.
  *
  * Trace-head formation: only non-sequential arrivals train a head, so
- * a multi-bundle loop builds exactly one block, and gcc — whose
- * interior loop bundles used to head never-dispatched blocks that
- * evicted the live ones — builds a few hundred blocks and evicts none.
+ * a multi-bundle loop builds exactly one block.  That gcc builds a few
+ * hundred blocks and evicts none is asserted registry-wide by the
+ * TierToggle cases of tests/test_toggle_sweep.cc.
  */
 
 #include <gtest/gtest.h>
@@ -424,32 +424,6 @@ TEST(ExecTier, SamplingParityOnMcfWithAdore)
               direct.adoreStats.pointerPrefetches);
     EXPECT_EQ(interp.execTier, ExecTier::Interpreter);
     EXPECT_EQ(direct.execTier, ExecTier::DirectThreaded);
-}
-
-/**
- * gcc's superblock thrash, pinned deterministically: at restricted O2
- * in the direct tier its loop heads must fit the 4-way sets with no
- * eviction, ADORE off and on.  When interior loop bundles headed
- * blocks, every one of gcc's phase repeats rebuilt them (157,324
- * builds, 157,260 evictions with ADORE off).  The counters are a
- * function of (program, config) alone, so host speed cannot flake it.
- */
-TEST(ExecTier, GccO2BuildsFewBlocksAndEvictsNone)
-{
-    hir::Program prog = workloads::make("gcc");
-    for (bool adore : {false, true}) {
-        RunConfig cfg;
-        cfg.compile.level = OptLevel::O2;
-        cfg.compile.softwarePipelining = false;
-        cfg.compile.reserveAdoreRegs = true;
-        cfg.adore = adore;
-        if (adore)
-            cfg.adoreConfig = Experiment::defaultAdoreConfig();
-        RunMetrics m = Experiment::run(prog, cfg);
-        EXPECT_TRUE(m.halted) << "adore=" << adore;
-        EXPECT_EQ(m.superblockStats.replaced, 0u) << "adore=" << adore;
-        EXPECT_LT(m.superblockStats.built, 512u) << "adore=" << adore;
-    }
 }
 
 /** Non-loop regions: a BrCall ends the region; the block still forms

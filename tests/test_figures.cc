@@ -2,12 +2,15 @@
  * @file
  * Tests for the figure catalogue (src/observe/figures.hh) and the
  * EXPERIMENTS.md generated-block markers.  Nothing here simulates:
- * plans are built and inspected, never run, and a malformed marker
- * must be rejected before regenerateExperiments() runs anything.
+ * plans are built and inspected, never run, a malformed marker must be
+ * rejected before regenerateExperiments() runs anything, and the
+ * paper's shape is checked on the committed blocks (which the
+ * `--regen-experiments --check` CI step proves current).
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -100,6 +103,88 @@ TEST(FigureCatalogue, AllPlansEachArmPairOnce)
             for (report::Arm arm : fig->arms)
                 EXPECT_EQ(distinct.count({info.name, arm}), 1u)
                     << fig->name << " " << info.name;
+    // The ablation's sweep points at the arms' own settings (k=3 on
+    // applu/art/swim, R=4000 on mcf/mesa) read the arms, five
+    // simulations fewer than one job per sweep point.  With Table 1's
+    // 17 training runs, `--figure all` simulates 214 times.
+    EXPECT_EQ(plan.armRuns().size() + plan.jobCount(), 197u);
+}
+
+/** The data rows of the markdown table in generated block @p tag of
+ *  @p text, keyed by their first cell (header and rule rows skipped). */
+std::map<std::string, std::vector<std::string>>
+blockRows(const std::string &text, const std::string &tag)
+{
+    std::map<std::string, std::vector<std::string>> rows;
+    for (const report::GeneratedBlock &block : report::generatedBlocks(text)) {
+        if (block.tag != tag)
+            continue;
+        std::istringstream in(
+            text.substr(block.bodyBegin, block.bodyEnd - block.bodyBegin));
+        bool header = true;
+        for (std::string line; std::getline(in, line);) {
+            if (line.rfind("| ", 0) != 0)
+                continue;
+            if (header) {  // the header row; the rule row is "|---|..."
+                header = false;
+                continue;
+            }
+            std::vector<std::string> cells;
+            std::istringstream cols(line.substr(1));
+            for (std::string cell; std::getline(cols, cell, '|');)
+                cells.push_back(cell.substr(1, cell.size() - 2));
+            rows[cells.at(0)] = cells;
+        }
+    }
+    return rows;
+}
+
+/** "**+58.0%**" -> 58.0, "−2.8%" (U+2212) -> -2.8. */
+double
+percentCell(std::string cell)
+{
+    if (cell.rfind("**", 0) == 0)
+        cell = cell.substr(2, cell.size() - 4);
+    const std::string minus = "−";
+    if (cell.rfind(minus, 0) == 0)
+        return -std::stod(cell.substr(minus.size()));
+    return std::stod(cell);
+}
+
+/**
+ * The paper's qualitative results as predicates over the committed
+ * fig07a and table2 blocks, so a fidelity regression fails here rather
+ * than as drifted digits.  gcc is not asserted to be the only loser:
+ * gap and gzip are also slightly negative, within the paper's ≈0.
+ */
+TEST(FigureCatalogue, CommittedBlocksKeepThePapersShape)
+{
+    const std::string text = committedExperiments();
+    auto fig07a = blockRows(text, "fig07a");
+    auto table2 = blockRows(text, "table2");
+    ASSERT_EQ(fig07a.size(), workloads::allWorkloads().size());
+    ASSERT_EQ(table2.size(), workloads::allWorkloads().size());
+
+    // fig07a columns: benchmark, paper, measured, phases, d/i/p.
+    std::string best, worst;
+    for (const auto &[name, cells] : fig07a) {
+        double gain = percentCell(cells.at(2));
+        if (best.empty() || gain > percentCell(fig07a[best].at(2)))
+            best = name;
+        if (worst.empty() || gain < percentCell(fig07a[worst].at(2)))
+            worst = name;
+    }
+    EXPECT_EQ(best, "mcf") << "mcf must gain the most";
+    EXPECT_EQ(worst, "gcc") << "gcc must gain the least";
+    EXPECT_LT(percentCell(fig07a["gcc"].at(2)), 0.0) << "gcc must lose";
+
+    // table2 columns: benchmark, suite, direct, indirect, pointer,
+    // phases optimized, miss rates.
+    const std::vector<std::string> &mcf = table2["mcf"];
+    EXPECT_EQ(mcf.at(2), "0") << "mcf direct prefetches";
+    EXPECT_EQ(mcf.at(3), "0") << "mcf indirect prefetches";
+    EXPECT_GT(std::stoi(mcf.at(4)), 0) << "mcf pointer-chasing prefetches";
+    EXPECT_EQ(table2["gzip"].at(5), "0") << "gzip phases optimized";
 }
 
 /** regenerateExperiments(@p doc) must throw, naming @p tag. */

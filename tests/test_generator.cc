@@ -14,6 +14,9 @@
 #include "harness/experiment.hh"
 #include "workloads/generator.hh"
 
+#include "byte_mutations.hh"
+#include "observe/report.hh"
+
 namespace adore
 {
 namespace
@@ -111,6 +114,36 @@ TEST(Generator, ParserRejectsMalformedKernels)
     // Structurally parseable but semantically invalid (no loops).
     EXPECT_FALSE(
         workloads::parseProgram("kernel v1\nname x\nend\n", out, err));
+}
+
+/**
+ * Kernel files are untrusted input (`adore_fuzz --replay`): every byte
+ * mutant of the committed corpus reproducer must parse to a program
+ * that passes validation or come back as a parse error, never crash or
+ * throw.
+ */
+TEST(Generator, ParserSurvivesByteMutations)
+{
+    std::string seed;
+    ASSERT_TRUE(report::readFile(ADORE_SOURCE_DIR "/corpus/gen_7.kernel",
+                                 seed));
+    Rng rng(7);
+    int parsed = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const std::string text = adore::testing::mutateBytes(seed, rng);
+        hir::Program prog;
+        std::string err;
+        bool ok = false;
+        ASSERT_NO_THROW(ok = workloads::parseProgram(text, prog, err))
+            << text;
+        if (ok) {
+            ++parsed;
+            EXPECT_EQ(workloads::validateProgram(prog), "") << text;
+        } else {
+            EXPECT_FALSE(err.empty()) << text;
+        }
+    }
+    EXPECT_GT(parsed, 0);  // some mutants keep a valid kernel
 }
 
 TEST(Generator, ValidatorCatchesBadPrograms)

@@ -26,6 +26,8 @@
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
+#include "byte_mutations.hh"
+
 using namespace adore;
 using namespace adore::serve;
 
@@ -91,6 +93,42 @@ TEST(Json, RejectsMalformedInput)
             << "accepted: " << text;
         EXPECT_FALSE(err.empty());
     }
+}
+
+/**
+ * Protocol lines are untrusted: every byte mutant of the CI protocol
+ * smoke's requests must parse or come back as a parse error, never
+ * crash or throw, and whatever parses must render to a document that
+ * parses back to the same rendering.
+ */
+TEST(Json, SurvivesByteMutations)
+{
+    const std::string seeds[] = {
+        R"({"op":"ping"})",
+        R"({"op":"submit","workload":"gzip","opt":"o2"})",
+        R"({"op":"wait","id":1})",
+        R"({"op":"drain"})",
+    };
+    Rng rng(19);
+    int parsed = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const std::string text =
+            adore::testing::mutateBytes(seeds[i % 4], rng);
+        json::Value v;
+        std::string err;
+        bool ok = false;
+        ASSERT_NO_THROW(ok = json::parse(text, v, err)) << text;
+        if (!ok) {
+            EXPECT_FALSE(err.empty()) << text;
+            continue;
+        }
+        ++parsed;
+        json::Value again;
+        ASSERT_TRUE(json::parse(v.render(), again, err))
+            << text << " -> " << v.render() << ": " << err;
+        EXPECT_EQ(again.render(), v.render()) << text;
+    }
+    EXPECT_GT(parsed, 0);  // the mutants reach past the first byte
 }
 
 TEST(Json, RejectsExcessiveNesting)

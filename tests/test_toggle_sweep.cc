@@ -10,7 +10,8 @@
  * registry workload twice, differing only in one toggle, and asserts
  * an empty invariants::diffIdentity — every Sim counter of every stats
  * block, generated from the field lists — and an identical rendered
- * decision-event stream, element by element.
+ * decision-event stream, element by element.  TierToggle cases also
+ * gate the direct tier's work counters (expectTierDidItsWork below).
  *
  * The sweep is one variant table × the workload registry.  A variant
  * is registered as "All/<suite>.<name>/<workload>", under the suite of
@@ -180,12 +181,31 @@ class ToggleCase : public ::testing::Test
         std::vector<std::string> diffs;
         invariants::diffIdentity(a.metrics, b.metrics, true, diffs);
         EXPECT_TRUE(diffs.empty()) << joinLines(diffs);
+        if (variant_.toggle == Toggle::Tier)
+            expectTierDidItsWork(b.metrics.superblockStats);
 
         // The decision-event stream is the strongest check: identical
         // decisions, in the same order, at the same simulated cycles.
         ASSERT_EQ(a.events.size(), b.events.size());
         for (std::size_t i = 0; i < a.events.size(); ++i)
             ASSERT_EQ(a.events[i], b.events[i]) << "event " << i;
+    }
+
+    /**
+     * The tier's performance gate, on work counters instead of host
+     * time: they are a pure function of (program, config), so they
+     * repeat on every host.  The direct-tier run must dispatch blocks,
+     * evict none, and build a bounded number.  Across the sweep the
+     * largest count is about 200 (gcc with ADORE) and no block is ever
+     * evicted; a cache that thrashes, as the direct-mapped one did on
+     * gcc (157,324 builds over a full run), fails here.
+     */
+    static void
+    expectTierDidItsWork(const SuperblockStats &s)
+    {
+        EXPECT_EQ(s.replaced, 0u) << "superblocks evicted by LRU";
+        EXPECT_LT(s.built, 512u) << "superblock builds";
+        EXPECT_GT(s.dispatches, 0u) << "no superblock was dispatched";
     }
 
   private:
