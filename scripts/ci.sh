@@ -7,11 +7,11 @@
 # where the bit-identity tests cannot (a wild read that happens to
 # return the right answer).
 #
-# A TSan build then runs the concurrency shard — the async-toggle and
-# optimizer-service tests plus a fixed-seed free-running chaos smoke —
-# because the free-running optimizer worker is the one place real data
-# races can live, and only TSan sees them (the deterministic barrier
-# tests cannot).
+# A TSan build then runs the program's real concurrency: the thread
+# pool that fans out runs and the adored daemon's workers, monitor and
+# shared result cache.  The simulation itself is single-threaded (the
+# optimizer runs inside the poll hook, DESIGN.md §11), so that is the
+# whole surface where data races can live, and only TSan sees them.
 #
 # Exec-tier coverage (DESIGN.md §12): the direct-threaded superblock
 # tier is the default, so every stage above already exercises it — the
@@ -24,9 +24,7 @@
 # that thrashes or a tier that never forms blocks fails ctest on any
 # host.  No CI step times the host.  Additions that keep both tiers
 # honest: an interpreter-tier chaos smoke so the legacy dispatch path
-# cannot rot unexercised, an explicit tier pin on the TSan free-running
-# run so the executor's quiesce/patch interaction stays under the race
-# detector, and an explicit ASan re-run of the region-keyed
+# cannot rot unexercised, and an explicit ASan re-run of the region-keyed
 # chaining/invalidation surface (ExecTier + TierToggle) since stale
 # chain links are exactly the use-after-free shape ASan exists to
 # catch.
@@ -183,14 +181,7 @@ if [[ "${ADORE_CI_SKIP_SANITIZERS:-0}" != "1" ]]; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-    cmake --build "$TSAN_DIR" -j "$(nproc)" \
-        --target adore_tests adore_chaos adored
-    TSAN_OPTIONS=halt_on_error=1 \
-        ctest --test-dir "$TSAN_DIR" --output-on-failure \
-            -R 'AsyncToggle|OptimizerService|SpscQueue'
-    TSAN_OPTIONS=halt_on_error=1 \
-        "$TSAN_DIR"/tools/adore_chaos --threads --exec-tier direct \
-            --workloads mcf,art,equake --seeds 3 --max-cycles 8000000
+    cmake --build "$TSAN_DIR" -j "$(nproc)" --target adore_tests adored
 
     # Daemon shard under TSan (DESIGN.md §15): the drain-vs-submit race
     # (DrainRacingSubmitNeverLosesAdmittedTask), the monitor thread

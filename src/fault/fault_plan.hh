@@ -67,10 +67,10 @@ struct FaultConfig
     /** Probability a trace commit/patch fails (rejected, no effect). */
     double patchFailRate = 0.0;
 
-    // --- optimizer service --------------------------------------------
+    // --- optimizer ----------------------------------------------------
     /**
-     * Probability one phase optimization stalls (the optimizer thread
-     * wedges on a lock, pages, or loops).  A stall longer than the
+     * Probability one phase optimization stalls (the optimizer wedges
+     * on a lock, pages, or loops).  A stall longer than the
      * watchdog deadline (AdoreConfig::watchdogDeadlineCycles) cancels
      * the phase and degrades to unoptimized execution.
      */
@@ -141,12 +141,8 @@ struct FaultStats
  * One run's fault schedule.  Owned by the experiment harness; the
  * Sampler, AdoreRuntime, and CacheHierarchy hold non-owning pointers
  * (null = no faults).  One plan per simulation run, exactly like
- * EventTrace.  Channels are not individually thread-safe, but each
- * channel owns its Rng and its stats counter is a distinct memory
- * location, so the free-running optimizer service may drive the
- * patching/stall channels from the worker thread while the main thread
- * drives the PMU and memory channels — as long as no single channel is
- * called from two threads (DESIGN.md §11).
+ * EventTrace, and like it single-threaded: the simulation thread
+ * drives every channel.
  */
 class FaultPlan
 {
@@ -184,7 +180,7 @@ class FaultPlan
     bool patchFails();
     /// @}
 
-    /// @name Optimizer-service decisions (called by AdoreRuntime)
+    /// @name Optimizer decisions (called by AdoreRuntime)
     /// @{
     /**
      * Virtual cycles the next phase optimization stalls for (0 = no

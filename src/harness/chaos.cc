@@ -111,9 +111,7 @@ Experiment::runChaos(const ChaosSpec &spec)
     for (std::size_t wi = 0; wi < names.size(); ++wi) {
         for (std::uint64_t seed : spec.seeds) {
             RunConfig base;
-            base.compile.level = OptLevel::O2;
-            base.compile.softwarePipelining = false;
-            base.compile.reserveAdoreRegs = true;
+            base.compile = restrictedOptions(OptLevel::O2);
             base.maxCycles = spec.maxCycles;
             base.quietCycleLimit = true;  // bounded by budget on purpose
             base.machine.cpu.execTier = spec.execTier;
@@ -127,8 +125,6 @@ Experiment::runChaos(const ChaosSpec &spec)
             chaotic.adoreConfig.guardrails.enabled = true;
             chaotic.adoreConfig.tracePoolCapacityBundles =
                 spec.poolCapacityBundles;
-            if (spec.freeRunning)
-                chaotic.adoreConfig.mode = OptimizerMode::FreeRunning;
 
             runSpecs.push_back({&programs[wi], base});
             runSpecs.push_back({&programs[wi], chaotic});

@@ -26,13 +26,9 @@
  *     program materially below the no-ADORE baseline.
  *
  * Determinism: FaultPlan draws from per-channel streams seeded only by
- * ChaosSpec seeds, and the optimizer runs in barrier mode (bit-identical
- * to synchronous), so rerunning a spec reproduces identical metrics and
- * decision-event streams.  With freeRunning set the optimizer worker
- * runs concurrently with the interpreter instead: commit timing (and
- * therefore exact metrics) may vary between reruns, but every survival
- * invariant must still hold — this is the thread-stress soak the TSan
- * CI shard runs.
+ * ChaosSpec seeds and the optimizer runs inside the simulation's poll
+ * hook, so rerunning a spec reproduces identical metrics and
+ * decision-event streams.
  */
 
 #ifndef ADORE_HARNESS_CHAOS_HH
@@ -66,9 +62,6 @@ struct ChaosSpec
     std::size_t poolCapacityBundles = 768;
     /** Thread-pool width for the sweep (0 = ADORE_JOBS default). */
     unsigned jobs = 0;
-    /** Run the optimizer in free-running mode (adore_chaos --threads):
-     *  a concurrent worker per chaotic run, host watchdog armed. */
-    bool freeRunning = false;
     /** Execution tier for both runs of every pair (adore_chaos
      *  --exec-tier), so soaks cover the superblock tier and the pure
      *  interpreter alike. */

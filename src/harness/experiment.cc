@@ -179,14 +179,9 @@ Experiment::run(const hir::Program &prog, const RunConfig &cfg)
     out.l2Stats = machine.caches().l2().stats();
     out.l3Stats = machine.caches().l3().stats();
     if (adore) {
-        adore->detach();  // quiesces (joins) the optimizer service
+        adore->detach();
         out.adoreStats = adore->stats();
         out.samplerStats = adore->sampler().stats();
-        out.optimizerMode = adore->config().mode;
-        if (adore->optimizerService()) {
-            out.optimizerServiceUsed = true;
-            out.optimizerStats = adore->optimizerService()->statsSnapshot();
-        }
         if (adore->guardrails()) {
             out.guardrailsUsed = true;
             out.guardrailStats = adore->guardrails()->stats();
@@ -331,12 +326,6 @@ Experiment::collectMetrics(observe::MetricsRegistry &registry,
     add("pmu.dropped_batches",
         static_cast<double>(metrics.samplerStats.totalDropped()),
         "SSB batches lost for any reason");
-
-    add("optimizer.mode",
-        static_cast<double>(static_cast<int>(metrics.optimizerMode)),
-        "optimizer threading mode (0 sync, 1 barrier, 2 free)");
-    if (metrics.optimizerServiceUsed)
-        addStats(registry, "optimizer.", metrics.optimizerStats);
 }
 
 std::string
@@ -435,7 +424,6 @@ Experiment::collectProfile(const hir::Program &prog,
                 prev = d;
                 totals[d.pc] += d.latency;
             }
-            return true;
         });
     machine.cpu().setSampler(&sampler);
     sampler.setEnabled(true, 0);

@@ -23,7 +23,6 @@
 #include "observe/metrics_registry.hh"
 #include "runtime/adore.hh"
 #include "runtime/hwpf_controller.hh"
-#include "runtime/optimizer_service.hh"
 #include "support/stats.hh"
 
 namespace adore
@@ -97,9 +96,6 @@ struct RunMetrics
     /** Total CodeImage region-generation bumps over the run (all
      *  sources: compile-time appends, pool writes, patch/revert). */
     std::uint64_t regionGenBumps = 0;
-    OptimizerMode optimizerMode = OptimizerMode::Synchronous;
-    bool optimizerServiceUsed = false;  ///< an async worker ran
-    OptimizerServiceStats optimizerStats;
     bool faultsUsed = false;        ///< a FaultPlan was constructed
     fault::FaultStats faultStats;   ///< per-channel injection counts
     bool guardrailsUsed = false;    ///< guardrails were enabled

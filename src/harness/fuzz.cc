@@ -43,9 +43,7 @@ std::vector<ArmDef>
 buildArms(const FuzzSpec &spec, std::uint64_t seed)
 {
     RunConfig base;
-    base.compile.level = OptLevel::O2;
-    base.compile.softwarePipelining = false;
-    base.compile.reserveAdoreRegs = true;
+    base.compile = restrictedOptions(OptLevel::O2);
     base.maxCycles = spec.maxCycles;
     base.quietCycleLimit = true;  // the hang watchdog on every path
 
@@ -68,30 +66,22 @@ buildArms(const FuzzSpec &spec, std::uint64_t seed)
     direct.identityWith = 0;
     arms.push_back(direct);
 
-    // 3: ADORE, synchronous polls, interpreter tier.
+    // 3: ADORE on the interpreter tier.
     ArmDef sync{"adore_sync", interp.cfg};
     sync.cfg.adore = true;
     sync.cfg.adoreConfig = Experiment::defaultAdoreConfig();
-    sync.cfg.adoreConfig.mode = OptimizerMode::Synchronous;
     sync.cfg.adoreConfig.tracePoolCapacityBundles =
         spec.poolCapacityBundles;
     arms.push_back(sync);
 
-    // 4: barrier-mode worker — promised identical (test_toggle_sweep).
-    ArmDef barrier{"adore_barrier", sync.cfg};
-    barrier.cfg.adoreConfig.mode = OptimizerMode::AsyncBarrier;
-    barrier.identityWith = 3;
-    barrier.compareAdore = true;
-    arms.push_back(barrier);
-
-    // 5: ADORE on the direct tier — tier toggle holds under ADORE too.
-    ArmDef adoreDirect{"adore_direct", barrier.cfg};
+    // 4: ADORE on the direct tier — tier toggle holds under ADORE too.
+    ArmDef adoreDirect{"adore_direct", sync.cfg};
     adoreDirect.cfg.machine.cpu.execTier = ExecTier::DirectThreaded;
-    adoreDirect.identityWith = 4;
+    adoreDirect.identityWith = 3;
     adoreDirect.compareAdore = true;
     arms.push_back(adoreDirect);
 
-    // 6: hardware-prefetcher zoo, adaptive controller (consistency
+    // 5: hardware-prefetcher zoo, adaptive controller (consistency
     // only: no identity is promised for an active engine).
     ArmDef hwpf{"hwpf", base};
     hwpf.cfg.machine.cpu.execTier = ExecTier::DirectThreaded;
@@ -99,7 +89,7 @@ buildArms(const FuzzSpec &spec, std::uint64_t seed)
     arms.push_back(hwpf);
 
     if (spec.withChaos) {
-        // 7/8: the chaos pair — one shared fault schedule, baseline
+        // 6/7: the chaos pair — one shared fault schedule, baseline
         // without ADORE vs guardrailed ADORE, CPI margin between them.
         ArmDef chaosBase{"chaos_base", base};
         chaosBase.cfg.faults = spec.faults;

@@ -5,19 +5,19 @@
  * Each program from the property-based generator
  * (src/workloads/generator.hh) runs through a matrix of configuration
  * *arms* — interpreter vs direct-threaded tier, fastPath on/off, ADORE
- * Synchronous vs AsyncBarrier, the hardware-prefetcher zoo, and an
- * optional chaos pair sharing one fault schedule — and the harness
- * checks every invariant the codebase claims piecewise on the 17
- * hand-written kernels:
+ * on both tiers, the hardware-prefetcher zoo, and an optional chaos
+ * pair sharing one fault schedule — and the harness checks every
+ * invariant the codebase claims piecewise on the 17 hand-written
+ * kernels:
  *
  *  - *no crash / no hang*: every run carries quietCycleLimit with a
  *    bounded cycle budget, so a non-terminating program is cut off and
  *    counted (a panic still aborts — completing the sweep is the
  *    crash-freedom proof);
  *  - *bit-identity*: arms whose toggle promises identity (fastPath,
- *    exec tier, Synchronous vs AsyncBarrier) must agree on every
- *    simulated counter — skipped for a pair only when either side was
- *    cut off by the budget, since a cutoff is not a completed program;
+ *    exec tier) must agree on every simulated counter — skipped for a
+ *    pair only when either side was cut off by the budget, since a
+ *    cutoff is not a completed program;
  *  - *metric self-consistency*: every arm, via harness/invariants.hh;
  *  - *guardrail CPI margin*: the chaos pair must satisfy
  *    checkCpiMargin (runtime/guardrails.hh) like the chaos soak does.

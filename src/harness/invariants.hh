@@ -10,8 +10,8 @@
  *    coherent (CPI is exactly cycles/retired, cache counters nest,
  *    runtime and guardrail counters agree, ...);
  *  - *bit-identity*: two runs differing only in a toggle that promises
- *    identity (fastPath, execution tier, Synchronous vs AsyncBarrier)
- *    must agree on every simulated counter.
+ *    identity (fastPath, execution tier) must agree on every simulated
+ *    counter.
  *
  * Checks append one-line diagnostics instead of asserting, so callers
  * can collect violations across a sweep and report them together.
@@ -66,7 +66,6 @@ forEachStatBlock(F &&f)
     f("adore", [](auto &m) -> auto & { return m.adoreStats; }, true);
     f("pmu", [](auto &m) -> auto & { return m.samplerStats; }, true);
     f("guardrail", [](auto &m) -> auto & { return m.guardrailStats; }, true);
-    f("optimizer", [](auto &m) -> auto & { return m.optimizerStats; }, true);
 }
 
 /**

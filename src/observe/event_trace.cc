@@ -71,10 +71,6 @@ struct KindNameVisitor
     {
         return "FaultInjected";
     }
-    const char *operator()(const OptimizerQueueEvent &) const
-    {
-        return "OptimizerQueue";
-    }
     const char *operator()(const HwPrefetchRetuneEvent &) const
     {
         return "HwPrefetchRetune";
@@ -157,12 +153,6 @@ struct LineVisitor
     {
         return fmt("fault injected (%s): arg=0x%" PRIx64, e.channel,
                    e.arg);
-    }
-    std::string operator()(const OptimizerQueueEvent &e) const
-    {
-        return fmt("optimizer queue dropped %" PRIu64
-                   " batch(es) at depth %" PRIu64,
-                   e.dropped, e.depth);
     }
     std::string operator()(const HwPrefetchRetuneEvent &e) const
     {

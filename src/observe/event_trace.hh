@@ -150,13 +150,6 @@ struct FaultInjectedEvent
     std::uint64_t arg = 0;  ///< channel-specific detail (addr/cycles/...)
 };
 
-/** The optimizer service's bounded sample queue dropped batches. */
-struct OptimizerQueueEvent
-{
-    std::uint64_t dropped = 0;  ///< batches refused since the last event
-    std::uint64_t depth = 0;    ///< queue occupancy when the drop fired
-};
-
 /** The adaptive hw-prefetch controller retuned a prefetcher. */
 struct HwPrefetchRetuneEvent
 {
@@ -170,8 +163,7 @@ using EventPayload =
                  PhaseSkippedEvent, TraceSelectedEvent, SliceClassifiedEvent,
                  DelinquentLoadEvent, PrefetchInsertedEvent,
                  TracePatchedEvent, TraceRevertedEvent, GuardrailEvent,
-                 FaultInjectedEvent, OptimizerQueueEvent,
-                 HwPrefetchRetuneEvent>;
+                 FaultInjectedEvent, HwPrefetchRetuneEvent>;
 
 struct Event
 {

@@ -108,11 +108,6 @@ struct ArgsVisitor
         return std::string("{\"channel\": \"") + e.channel +
                "\", \"arg\": " + hexAddr(e.arg) + "}";
     }
-    std::string operator()(const OptimizerQueueEvent &e) const
-    {
-        return fmt("{\"dropped\": %" PRIu64 ", \"depth\": %" PRIu64 "}",
-                   e.dropped, e.depth);
-    }
     std::string operator()(const HwPrefetchRetuneEvent &e) const
     {
         return std::string("{\"action\": \"") + e.action +

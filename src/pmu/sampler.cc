@@ -48,9 +48,7 @@ Sampler::takeSample(const Sample &sample)
                     ssb_.size();
         // Chaos channels: a dropped batch never reaches the UEB (the
         // overflow "signal" was lost); a duplicated batch is delivered
-        // twice (the handler re-ran on a stale buffer).  A handler that
-        // refuses a batch (bounded optimizer queue full) is the third,
-        // non-injected drop kind: the consumer fell behind.
+        // twice (the handler re-ran on a stale buffer).
         if (faults_ && faults_->dropBatch()) {
             ++stats_.droppedFault;
         } else if (!handler_) {
@@ -68,10 +66,8 @@ Sampler::takeSample(const Sample &sample)
 void
 Sampler::deliver()
 {
-    if (handler_(ssb_))
-        ++stats_.batchesDelivered;
-    else
-        ++stats_.droppedConsumerBehind;
+    handler_(ssb_);
+    ++stats_.batchesDelivered;
 }
 
 std::vector<Sample>

@@ -61,21 +61,18 @@ struct SamplerConfig
       "SSB batches accepted by the overflow handler", Sim)             \
     X(std::uint64_t, droppedFault, "dropped_fault",                    \
       "SSB batches dropped by the injected drop-batch fault", Sim)     \
-    X(std::uint64_t, droppedConsumerBehind, "dropped_consumer_behind", \
-      "SSB batches dropped: optimizer sample queue was full", Sim)     \
     X(std::uint64_t, droppedNoHandler, nullptr,                        \
       "SSB batches dropped: no overflow handler", Sim)
 
 /**
  * Sampling-path accounting (the `pmu.*` metrics).  Every SSB overflow
  * resolves to exactly one first-delivery outcome — delivered, dropped
- * by an injected fault, dropped because the consumer was behind (the
- * optimizer service's bounded queue refused the batch), or dropped
- * because no handler was installed — so
- *   overflows == batchesDelivered + droppedFault
- *              + droppedConsumerBehind + droppedNoHandler - duplicates
- * where a fault-duplicated batch adds one extra delivered or
- * consumer-behind count for its second delivery attempt.
+ * by an injected fault, or dropped because no handler was installed —
+ * so
+ *   overflows == batchesDelivered + droppedFault + droppedNoHandler
+ *              - duplicates
+ * where a fault-duplicated batch adds one extra delivered count for
+ * its second delivery.
  */
 struct SamplerStats
 {
@@ -85,22 +82,16 @@ struct SamplerStats
     std::uint64_t
     totalDropped() const
     {
-        return droppedFault + droppedConsumerBehind + droppedNoHandler;
+        return droppedFault + droppedNoHandler;
     }
 };
 
 class Sampler
 {
   public:
-    /**
-     * Overflow handler: receives the full SSB contents and returns true
-     * when the batch was accepted.  False means the consumer is behind
-     * (e.g. the optimizer service's bounded sample queue is full): the
-     * batch is dropped and counted in droppedConsumerBehind.  Copy
-     * overhead is charged by the sampler itself either way — the
-     * "kernel" copied the buffer before learning the queue was full.
-     */
-    using OverflowHandler = std::function<bool(const std::vector<Sample> &)>;
+    /** Overflow handler: receives the full SSB contents (the copy into
+     *  the UEB).  Copy overhead is charged by the sampler itself. */
+    using OverflowHandler = std::function<void(const std::vector<Sample> &)>;
 
     explicit Sampler(const SamplerConfig &config) : config_(config) {}
 

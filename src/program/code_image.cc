@@ -112,7 +112,6 @@ CodeImage::patch(Addr orig_addr, Addr trace_addr)
     redirect.add(build::brAlways(trace_addr));
     redirect.padWithNops();
     writeBundle(orig_addr, redirect);
-    patchEpoch_.fetch_add(1, std::memory_order_release);
 }
 
 void
@@ -123,7 +122,6 @@ CodeImage::unpatch(Addr orig_addr)
              static_cast<unsigned long long>(orig_addr));
     writeBundle(orig_addr, it->second);
     savedBundles_.erase(it);
-    patchEpoch_.fetch_add(1, std::memory_order_release);
 }
 
 bool

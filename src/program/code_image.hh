@@ -14,7 +14,6 @@
 #ifndef ADORE_PROGRAM_CODE_IMAGE_HH
 #define ADORE_PROGRAM_CODE_IMAGE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -190,23 +189,6 @@ class CodeImage
      */
     std::uint64_t regionBumpCount() const { return regionBumps_; }
 
-    /**
-     * Patch-state epoch for the concurrent optimizer service (DESIGN.md
-     * §11): an atomic counter bumped only by patch() and unpatch().  The
-     * free-running worker snapshots it under the patch mutex when it
-     * starts analyzing a phase; the main thread rejects a commit plan
-     * whose epoch is stale (the patch set changed underneath the
-     * analysis), so a half-superseded plan is never applied.  This is
-     * the sequence half of a seqlock — mutual exclusion on the bundle
-     * data itself comes from the service's patch mutex, keeping every
-     * data access race-free under TSan.
-     */
-    std::uint64_t
-    patchEpoch() const
-    {
-        return patchEpoch_.load(std::memory_order_acquire);
-    }
-
     bool contains(Addr addr) const;
     static bool inPool(Addr addr) { return addr >= poolBase; }
     bool inText(Addr addr) const;
@@ -246,7 +228,6 @@ class CodeImage
     std::uint64_t textLayout_ = 0;  ///< bumped when text_ may reallocate
     std::uint64_t poolLayout_ = 0;  ///< bumped when pool_ may reallocate
     std::uint64_t regionBumps_ = 0;
-    std::atomic<std::uint64_t> patchEpoch_{0};
     std::size_t poolCapacity_ = 0;  ///< max pool bundles; 0 = unbounded
 };
 

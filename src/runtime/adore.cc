@@ -4,26 +4,11 @@
 
 #include "isa/builder.hh"
 #include "runtime/hwpf_controller.hh"
-#include "runtime/optimizer_service.hh"
 #include "runtime/slicer.hh"
 #include "support/logging.hh"
 
 namespace adore
 {
-
-const char *
-optimizerModeName(OptimizerMode mode)
-{
-    switch (mode) {
-      case OptimizerMode::Synchronous:
-        return "sync";
-      case OptimizerMode::AsyncBarrier:
-        return "barrier";
-      case OptimizerMode::FreeRunning:
-        return "free";
-    }
-    return "?";
-}
 
 AdoreRuntime::AdoreRuntime(Cpu &cpu, const AdoreConfig &config)
     : cpu_(cpu),
@@ -34,18 +19,6 @@ AdoreRuntime::AdoreRuntime(Cpu &cpu, const AdoreConfig &config)
       traceSelector_(cpu.code(), config.traceSelect),
       prefetchGen_(config.prefetchGen)
 {
-}
-
-AdoreRuntime::~AdoreRuntime()
-{
-    if (service_)
-        service_->shutdown();
-}
-
-bool
-AdoreRuntime::deferredCommits() const
-{
-    return service_ && config_.mode == OptimizerMode::FreeRunning;
 }
 
 void
@@ -81,44 +54,21 @@ AdoreRuntime::attach()
 
     phaseDetector_.setDoubleWindowCallback([this] {
         ++stats_.windowDoublings;
-        if (deferredCommits()) {
-            // The sampler belongs to the main thread; the worker only
-            // requests the resize and main applies it at a safe point.
-            service_->requestDoubleWindow();
-        } else {
-            sampler_.doubleWindow();
-        }
+        sampler_.doubleWindow();
     });
 
     cpu_.setSampler(&sampler_);
     sampler_.setEnabled(true, cpu_.cycle());
-
-    if (config_.mode == OptimizerMode::Synchronous) {
-        sampler_.setOverflowHandler(
-            [this](const std::vector<Sample> &ssb) {
-                ueb_.pushWindow(ssb);
-                return true;
-            });
-        cpu_.addPeriodicHook(config_.pollPeriod,
-                             [this](Cycle now) { onPoll(now); });
-    } else {
-        service_ = std::make_unique<OptimizerService>(*this);
-        sampler_.setOverflowHandler(
-            [this](const std::vector<Sample> &ssb) {
-                return service_->enqueueBatch(ssb);
-            });
-        cpu_.addPeriodicHook(config_.pollPeriod,
-                             [this](Cycle now) { service_->poll(now); });
-        service_->start();
-    }
+    sampler_.setOverflowHandler(
+        [this](const std::vector<Sample> &ssb) { ueb_.pushWindow(ssb); });
+    cpu_.addPeriodicHook(config_.pollPeriod,
+                         [this](Cycle now) { onPoll(now); });
 }
 
 void
 AdoreRuntime::detach()
 {
     sampler_.setEnabled(false);
-    if (service_)
-        service_->shutdown();
 }
 
 void
@@ -132,7 +82,7 @@ AdoreRuntime::onPoll(Cycle now)
     consumeWindows(now);
 
     if (config_.faultPlan && events_)
-        emitFaultDeltas(config_.faultPlan->stats());
+        emitFaultDeltas();
     if (guardrails_)
         endPollGuardrails();
 }
@@ -195,7 +145,7 @@ AdoreRuntime::consumeWindows(Cycle now)
                         "low-miss-rate", phase.cpi, 0.0});
                 }
             } else {
-                optimizePhase(now);
+                optimizePhase();
             }
             break;
           }
@@ -204,8 +154,9 @@ AdoreRuntime::consumeWindows(Cycle now)
 }
 
 void
-AdoreRuntime::emitFaultDeltas(const fault::FaultStats &fs)
+AdoreRuntime::emitFaultDeltas()
 {
+    const fault::FaultStats &fs = config_.faultPlan->stats();
     auto delta = [this](const char *channel, std::uint64_t cur,
                         std::uint64_t &last) {
         if (cur > last)
@@ -244,28 +195,14 @@ AdoreRuntime::endPollGuardrails()
         lastHwIssued_ = hs.issued();
         lastHwDropped_ = hs.dropped();
     }
-    finishPollGuardrails(issued, dropped, hwIssued, hwDropped);
-}
-
-void
-AdoreRuntime::finishPollGuardrails(std::uint64_t issued_delta,
-                                   std::uint64_t dropped_delta,
-                                   std::uint64_t hw_issued_delta,
-                                   std::uint64_t hw_dropped_delta)
-{
-    guardrails_->noteMemPressure(issued_delta, dropped_delta,
-                                 hw_issued_delta, hw_dropped_delta);
+    guardrails_->noteMemPressure(issued, dropped, hwIssued, hwDropped);
     guardrails_->endPoll();
 
     // Apply sampling-rate backoff.  The poll runs inside a Cpu periodic
     // hook and the Cpu recomputes its event watermark after hooks, so
-    // the retimed interval takes effect from the next sample.  In
-    // free-running mode the worker cannot touch the sampler; it
-    // publishes the wanted interval and main applies it at its poll.
+    // the retimed interval takes effect from the next sample.
     Cycle want = baseSamplingInterval_ * guardrails_->samplingMultiplier();
-    if (deferredCommits())
-        service_->publishSamplingInterval(want);
-    else if (sampler_.interval() != want)
+    if (sampler_.interval() != want)
         sampler_.setInterval(want);
 }
 
@@ -274,10 +211,7 @@ AdoreRuntime::guardrailProfitabilityCheck(const PhaseInfo &phase)
 {
     // Per-trace monitoring: attribute the in-pool phase to the patched
     // trace whose pool range holds the phase's PCcenter, newest batch
-    // first (pool ranges are unique per commit).  In free-running mode
-    // the worker consults its shadow patch set (the code image belongs
-    // to the main thread) and defers the unpatch via the service.
-    bool deferred = deferredCommits();
+    // first (pool ranges are unique per commit).
     for (std::size_t bi = batches_.size(); bi-- > 0;) {
         OptimizedBatch &batch = batches_[bi];
         if (batch.reverted)
@@ -287,9 +221,7 @@ AdoreRuntime::guardrailProfitabilityCheck(const PhaseInfo &phase)
                 phase.pcCenter >= t.poolEnd) {
                 continue;
             }
-            bool patched = deferred ? service_->shadowRevertible(t.head)
-                                    : cpu_.code().isPatched(t.head);
-            if (!patched)
+            if (!cpu_.code().isPatched(t.head))
                 return;  // already individually reverted
             if (phase.cpi <= batch.cpiBefore *
                                  config_.guardrails.revertCpiRatio) {
@@ -298,35 +230,18 @@ AdoreRuntime::guardrailProfitabilityCheck(const PhaseInfo &phase)
             if (batch.revertStage == 0) {
                 // Stage 1: surgically revert only the offending trace.
                 batch.revertStage = 1;
-                if (deferred) {
-                    service_->requestUnpatch(bi, {t.head},
-                                             UnpatchKind::Staged);
-                } else if (unpatchHead(batch, t.head, false)) {
+                if (unpatchHead(batch, t.head, false))
                     guardrails_->noteStagedRevert(t.head);
-                }
             } else {
                 // Stage 2: the batch regressed again — revert the rest.
-                if (deferred) {
-                    std::vector<Addr> heads;
-                    for (const PatchedTrace &u : batch.traces) {
-                        if (service_->shadowRevertible(u.head))
-                            heads.push_back(u.head);
-                    }
-                    batch.revertStage = 2;
-                    if (!heads.empty()) {
-                        service_->requestUnpatch(bi, std::move(heads),
-                                                 UnpatchKind::Full);
-                    }
-                } else {
-                    std::uint64_t n = 0;
-                    Addr first = t.head;
-                    for (const PatchedTrace &u : batch.traces) {
-                        if (unpatchHead(batch, u.head, false))
-                            ++n;
-                    }
-                    batch.revertStage = 2;
-                    guardrails_->noteFullRevert(first, n);
+                std::uint64_t n = 0;
+                Addr first = t.head;
+                for (const PatchedTrace &u : batch.traces) {
+                    if (unpatchHead(batch, u.head, false))
+                        ++n;
                 }
+                batch.revertStage = 2;
+                guardrails_->noteFullRevert(first, n);
             }
             return;
         }
@@ -373,7 +288,9 @@ AdoreRuntime::commitTrace(const Trace &trace,
         return CodeImage::badAddr;
     }
 
-    Addr base = writeTraceToPool(trace, init_bundles);
+    CodeImage &code = cpu_.code();
+    std::uint64_t bumps_before = code.regionBumpCount();
+    Addr base = code.tryAllocTrace(total);
     if (base == CodeImage::badAddr) {
         // Trace-pool exhaustion: reject, record, continue running.
         ++stats_.tracesRejectedPoolFull;
@@ -386,27 +303,6 @@ AdoreRuntime::commitTrace(const Trace &trace,
         }
         return CodeImage::badAddr;
     }
-
-    if (events_) {
-        events_->emit(observe::TracePatchedEvent{
-            trace.startAddr, base,
-            static_cast<std::uint32_t>(trace.bundles.size()),
-            static_cast<std::uint32_t>(init_bundles.size())});
-    }
-    return base;
-}
-
-Addr
-AdoreRuntime::writeTraceToPool(const Trace &trace,
-                               const std::vector<Bundle> &init_bundles)
-{
-    CodeImage &code = cpu_.code();
-    std::size_t total = init_bundles.size() + trace.bundles.size() + 1;
-
-    std::uint64_t bumps_before = code.regionBumpCount();
-    Addr base = code.tryAllocTrace(total);
-    if (base == CodeImage::badAddr)
-        return CodeImage::badAddr;
 
     Addr body_start =
         base + init_bundles.size() * isa::bundleBytes;
@@ -443,6 +339,13 @@ AdoreRuntime::writeTraceToPool(const Trace &trace,
 
     code.patch(trace.startAddr, base);
     stats_.regionGenBumps += code.regionBumpCount() - bumps_before;
+
+    if (events_) {
+        events_->emit(observe::TracePatchedEvent{
+            trace.startAddr, base,
+            static_cast<std::uint32_t>(trace.bundles.size()),
+            static_cast<std::uint32_t>(init_bundles.size())});
+    }
     return base;
 }
 
@@ -493,10 +396,6 @@ AdoreRuntime::patchedHeadsOf(std::size_t index) const
 bool
 AdoreRuntime::revertTrace(Addr head)
 {
-    // External revert API: the worker owns the batch bookkeeping while
-    // a free-running service is live, so refuse rather than race.
-    if (deferredCommits() && service_->running())
-        return false;
     // Newest batch first: a head whose backoff expired may have been
     // re-optimized into a later batch.
     for (auto it = batches_.rbegin(); it != batches_.rend(); ++it) {
@@ -511,8 +410,6 @@ AdoreRuntime::revertTrace(Addr head)
 bool
 AdoreRuntime::revertBatchAt(std::size_t index)
 {
-    if (deferredCommits() && service_->running())
-        return false;  // see revertTrace
     if (index >= batches_.size())
         return false;
     OptimizedBatch &batch = batches_[index];
@@ -527,59 +424,35 @@ AdoreRuntime::revertBatchAt(std::size_t index)
 }
 
 void
-AdoreRuntime::cancelPhaseByWatchdog(Addr pc_center, std::uint64_t magnitude)
+AdoreRuntime::optimizePhase()
 {
-    ++stats_.phasesWatchdogCancelled;
-    if (guardrails_) {
-        guardrails_->noteWatchdogFire(pc_center, magnitude);
-    } else if (events_) {
-        events_->emit(observe::GuardrailEvent{"watchdog-cancel", pc_center,
-                                              magnitude});
-    }
-}
-
-void
-AdoreRuntime::optimizePhase(Cycle now)
-{
-    (void)now;
-    const Addr pcCenter = phaseDetector_.current().pcCenter;
-
-    // Deterministic watchdog layer: an injected optimizer stall beyond
-    // the virtual-cycle deadline cancels the phase before any work is
-    // done and degrades via the guardrail throttle.  Applies in every
-    // mode, so the chaos schedule replays identically.
+    // Virtual-cycle watchdog: an injected optimizer stall beyond the
+    // deadline cancels the phase before any work is done and degrades
+    // via the guardrail throttle.
     if (config_.faultPlan) {
         std::uint64_t stall = config_.faultPlan->optimizerStall();
         if (stall > config_.watchdogDeadlineCycles) {
-            cancelPhaseByWatchdog(pcCenter, stall);
+            const Addr pcCenter = phaseDetector_.current().pcCenter;
+            ++stats_.phasesWatchdogCancelled;
+            if (guardrails_) {
+                guardrails_->noteWatchdogFire(pcCenter, stall);
+            } else if (events_) {
+                events_->emit(observe::GuardrailEvent{
+                    "watchdog-cancel", pcCenter, stall});
+            }
             return;
         }
     }
 
-    bool deferred = deferredCommits();
-    if (deferred)
-        service_->beginPhase();
-
     std::vector<Sample> samples = ueb_.flatten();
-    std::vector<Trace> traces;
-    if (deferred) {
-        // The trace selector walks the code image, which the main
-        // thread mutates at its safe points: hold the patch lock for
-        // the walk (the rest of the phase works on Trace copies).
-        auto lock = service_->lockPatches();
-        traces = traceSelector_.select(samples);
-    } else {
-        traces = traceSelector_.select(samples);
-    }
+    std::vector<Trace> traces = traceSelector_.select(samples);
     auto dear = aggregateDear(samples);
 
     OptimizedBatch batch;
     batch.cpiBefore = phaseDetector_.current().cpi;
 
-    std::vector<CommitPlanItem> planItems;
     bool any_patched = false;
     bool any_prefetched = false;
-    bool cancelled = false;
 
     // Auto-throttle: under bus saturation the guardrails damp (1) or
     // disable (0) prefetch generation per trace.
@@ -588,15 +461,6 @@ AdoreRuntime::optimizePhase(Cycle now)
         load_cap = guardrails_->prefetchLoadCap(load_cap);
 
     for (Trace &trace : traces) {
-        // Host-time watchdog (free-running): honor a cancellation
-        // requested by the main thread between traces.
-        if (deferred && service_->cancelled()) {
-            cancelled = true;
-            break;
-        }
-        if (config_.perTraceTestHook)
-            config_.perTraceTestHook(trace.startAddr);
-
         ++stats_.tracesSelected;
         if (trace.isLoop)
             ++stats_.loopTraces;
@@ -606,10 +470,7 @@ AdoreRuntime::optimizePhase(Cycle now)
             continue;  // too small to gain anything from relayout
         }
 
-        bool alreadyPatched =
-            deferred ? service_->shadowPatched(trace.startAddr)
-                     : cpu_.code().isPatched(trace.startAddr);
-        if (alreadyPatched) {
+        if (cpu_.code().isPatched(trace.startAddr)) {
             ++stats_.tracesSkippedPatched;
             continue;
         }
@@ -645,12 +506,6 @@ AdoreRuntime::optimizePhase(Cycle now)
             std::vector<DelinquentLoad> loads;
             DependenceSlicer slicer(trace, events_);
             for (const auto &[pc, agg] : dear) {
-                // Host-time watchdog: also honored mid-slice, so a
-                // stalled classification can't wedge the worker.
-                if (deferred && service_->cancelled()) {
-                    cancelled = true;
-                    break;
-                }
                 int bidx = trace.bundleIndexOfOrigPc(pc);
                 if (bidx < 0)
                     continue;
@@ -668,8 +523,6 @@ AdoreRuntime::optimizePhase(Cycle now)
                 dl.slice = slicer.classify(dl.pos);
                 loads.push_back(dl);
             }
-            if (cancelled)
-                break;
             std::sort(loads.begin(), loads.end(),
                       [](const DelinquentLoad &a, const DelinquentLoad &b) {
                           if (a.totalLatency != b.totalLatency)
@@ -712,21 +565,6 @@ AdoreRuntime::optimizePhase(Cycle now)
             continue;
         }
 
-        if (deferred) {
-            // Plan the commit; main applies it at its next safe point.
-            // The injected patch-failure channel is drawn here so it
-            // stays on the worker thread (same decision point as the
-            // inline path: once per commit-worthy trace).
-            if (config_.faultPlan && config_.faultPlan->patchFails()) {
-                ++stats_.tracesPatchFailed;
-                if (guardrails_)
-                    guardrails_->notePatchFailed(trace.startAddr);
-                continue;
-            }
-            planItems.push_back({trace, gen.initBundles});
-            continue;
-        }
-
         Addr base = commitTrace(trace, gen.initBundles);
         if (base == CodeImage::badAddr)
             continue;  // patch failed or pool exhausted: recoverable
@@ -738,20 +576,6 @@ AdoreRuntime::optimizePhase(Cycle now)
         ++stats_.tracesPatched;
         any_patched = true;
         cpu_.chargeCycles(config_.patchCyclesPerTrace);
-    }
-
-    if (deferred) {
-        service_->endPhase();
-        if (cancelled) {
-            // Degrade to unoptimized execution: discard the half-built
-            // plan; nothing was committed.
-            cancelPhaseByWatchdog(pcCenter, config_.watchdogDeadlineNs);
-        } else if (!planItems.empty()) {
-            service_->requestCommit(batch.cpiBefore, std::move(planItems));
-        }
-        if (any_prefetched)
-            ++stats_.phasesPrefetched;
-        return;
     }
 
     if (any_patched) {

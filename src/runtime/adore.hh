@@ -40,33 +40,7 @@
 namespace adore
 {
 
-class OptimizerService;
 class HwPrefetchController;
-
-/**
- * Where the optimizer poll body runs (DESIGN.md §11).
- *
- *  - Synchronous: inside the Cpu's periodic hook on the main thread —
- *    the original single-threaded runtime, and the default.
- *  - AsyncBarrier: on a real worker thread, but the main thread blocks
- *    at each poll until the worker finishes.  Bit-identical to
- *    Synchronous (the handshake orders every access) while exercising
- *    the full cross-thread queue/handshake machinery — the oracle the
- *    toggle sweep, the fuzz barrier arm and the TSan shard run.
- *  - FreeRunning: the worker runs concurrently with the interpreter;
- *    commits and reverts are applied by the main thread at poll-hook
- *    safe points.  Not bit-identical (commit timing shifts); used by
- *    the chaos soak and the TSan stress shard.
- */
-enum class OptimizerMode
-{
-    Synchronous,
-    AsyncBarrier,
-    FreeRunning,
-};
-
-/** Stable name for an optimizer mode ("sync" | "barrier" | "free"). */
-const char *optimizerModeName(OptimizerMode mode);
 
 struct AdoreConfig
 {
@@ -121,8 +95,6 @@ struct AdoreConfig
      * trace so the decision lines still reach the log.
      */
     observe::EventTrace *events = nullptr;
-    /** Optimizer threading mode (see OptimizerMode). */
-    OptimizerMode mode = OptimizerMode::Synchronous;
     /**
      * Adaptive hardware-prefetch controller (not owned; may be null).
      * When set, the runtime forwards phase-change notifications so the
@@ -132,33 +104,12 @@ struct AdoreConfig
      */
     HwPrefetchController *hwpfController = nullptr;
     /**
-     * Bounded sample-batch queue capacity (async modes).  A full queue
-     * means the optimizer fell behind: the batch is dropped at the
-     * producer and counted (pmu.dropped_consumer_behind), mirroring the
-     * kernel sampling buffer the paper's optimizer reads.
-     */
-    std::size_t sampleQueueCapacity = 8;
-    /**
      * Deterministic watchdog deadline in virtual cycles: an injected
      * optimizer stall (FaultConfig::optimizerStallRate) longer than
      * this cancels the phase optimization and degrades via the
-     * guardrail throttle.  Applies in every mode.
+     * guardrail throttle.
      */
     Cycle watchdogDeadlineCycles = 150'000;
-    /**
-     * Host-time watchdog deadline in nanoseconds (free-running mode
-     * only): when the main thread's poll observes one optimizePhase
-     * running longer than this, it requests cancellation; the worker
-     * honors it between traces and between load classifications.
-     */
-    std::uint64_t watchdogDeadlineNs = 250'000'000;
-    /**
-     * Test-only: invoked on the optimizer thread for each candidate
-     * trace in optimizePhase (before slicing).  Lets tests stall the
-     * worker deterministically to exercise queue backpressure and the
-     * host-time watchdog.  Must be null in production configs.
-     */
-    std::function<void(Addr)> perTraceTestHook;
 };
 
 /** AdoreStats fields, X(type, member, metric, description, class)
@@ -215,8 +166,6 @@ struct AdoreConfig
       "trace commits rejected: injected patch failure", Sim)           \
     X(std::uint64_t, phasesWatchdogCancelled, "phases_watchdog_cancelled", \
       "phase optimizations cancelled by the watchdog", Sim)            \
-    X(std::uint64_t, tracesCommitStale, "traces_commit_stale",         \
-      "async trace commits refused: head patched meanwhile", Sim)      \
     X(std::uint64_t, regionGenBumps, "region_gen_bumps",               \
       "region generations bumped by runtime pool writes and patches", Sim)
 
@@ -233,14 +182,10 @@ class AdoreRuntime
   public:
     AdoreRuntime(Cpu &cpu, const AdoreConfig &config);
 
-    /** Joins the optimizer worker (if any) before members die. */
-    ~AdoreRuntime();
-
     /** dyn_open(): start sampling and install the optimizer poll. */
     void attach();
 
-    /** dyn_close(): stop sampling and quiesce the optimizer service
-     *  (joins the worker; stats remain readable). */
+    /** dyn_close(): stop sampling (stats remain readable). */
     void detach();
 
     const AdoreStats &stats() const { return stats_; }
@@ -252,12 +197,6 @@ class AdoreRuntime
 
     /** Guardrail state machines (null unless enabled in the config). */
     const Guardrails *guardrails() const { return guardrails_.get(); }
-
-    /** Optimizer service (null in Synchronous mode or before attach). */
-    const OptimizerService *optimizerService() const
-    {
-        return service_.get();
-    }
 
     /** Optimization batches committed so far (including reverted). */
     std::size_t batchCount() const { return batches_.size(); }
@@ -282,23 +221,13 @@ class AdoreRuntime
     bool revertBatchAt(std::size_t index);
 
   private:
-    friend class OptimizerService;
-
     void onPoll(Cycle now);
 
     /** The window-consumption loop of one poll (phase detection and
-     *  the optimize/skip/revert decisions).  Runs on whichever thread
-     *  owns the optimizer in the current mode. */
+     *  the optimize/skip/revert decisions). */
     void consumeWindows(Cycle now);
 
-    void optimizePhase(Cycle now);
-
-    /** True when commits/reverts are deferred to the main thread via
-     *  the service queues (free-running mode with a live service). */
-    bool deferredCommits() const;
-
-    /** The watchdog cancelled the running phase optimization. */
-    void cancelPhaseByWatchdog(Addr pc_center, std::uint64_t magnitude);
+    void optimizePhase();
 
     /** Aggregate DEAR samples into per-pc delinquent-load records. */
     struct DearAgg
@@ -310,22 +239,13 @@ class AdoreRuntime
     aggregateDear(const std::vector<Sample> &samples) const;
 
     /**
-     * Commit an optimized trace to the pool and patch the original
-     * code.  @return the trace's pool address.
+     * Commit an optimized trace to the pool: allocate pool space, write
+     * the init/body/exit bundles (backedge retarget, branch elision),
+     * and patch the head.  @return the trace's pool address, or badAddr
+     * when the patch failed or the pool is exhausted.
      */
     Addr commitTrace(const Trace &trace,
                      const std::vector<Bundle> &init_bundles);
-
-    /**
-     * The mutation half of a commit: allocate pool space, write the
-     * init/body/exit bundles (backedge retarget, branch elision), and
-     * patch the head.  Emits no events and draws no fault decisions —
-     * in free-running mode this runs on the *main* thread under the
-     * service's patch mutex while all bookkeeping stays on the worker.
-     * @return the pool base, or badAddr on pool exhaustion.
-     */
-    Addr writeTraceToPool(const Trace &trace,
-                          const std::vector<Bundle> &init_bundles);
 
     /** One committed trace of a batch, with its pool footprint. */
     struct PatchedTrace
@@ -342,9 +262,6 @@ class AdoreRuntime
         std::vector<PatchedTrace> traces;
         bool reverted = false;  ///< no patched head remains
         int revertStage = 0;    ///< guardrail staged-revert progress
-        /** Still-patched heads per the worker's shadow (free-running
-         *  bookkeeping only; 0 and unused in the other modes). */
-        std::size_t patchedCount = 0;
     };
 
     /**
@@ -358,23 +275,13 @@ class AdoreRuntime
     /** Guardrail staged revert for an in-pool phase that regressed. */
     void guardrailProfitabilityCheck(const PhaseInfo &phase);
 
-    /** End-of-poll guardrail feeding: mem pressure, sampler retiming.
-     *  Reads the main-owned cache stats — sync/barrier modes only. */
+    /** End-of-poll guardrail feeding: feed the sw/hw prefetch
+     *  issue/drop deltas, advance the state machines, retime the
+     *  sampler. */
     void endPollGuardrails();
 
-    /** Mode-independent tail of endPollGuardrails: feed the prefetch
-     *  deltas, advance the state machines, retime the sampler (directly
-     *  or via the service mailbox in free-running mode). */
-    void finishPollGuardrails(std::uint64_t issued_delta,
-                              std::uint64_t dropped_delta,
-                              std::uint64_t hw_issued_delta = 0,
-                              std::uint64_t hw_dropped_delta = 0);
-
-    /** Emit per-channel FaultInjectedEvents for this poll's deltas.
-     *  @p fs is the stats view to diff against the last poll — the
-     *  live plan in sync/barrier modes, a merged main-channel snapshot
-     *  plus live worker channels in free-running mode. */
-    void emitFaultDeltas(const fault::FaultStats &fs);
+    /** Emit per-channel FaultInjectedEvents for this poll's deltas. */
+    void emitFaultDeltas();
 
     Cpu &cpu_;
     AdoreConfig config_;
@@ -393,8 +300,6 @@ class AdoreRuntime
     std::unordered_set<Addr> blacklist_;
     /** Guardrail state machines; null unless enabled. */
     std::unique_ptr<Guardrails> guardrails_;
-    /** Worker thread + queues; null in Synchronous mode. */
-    std::unique_ptr<OptimizerService> service_;
     Cycle baseSamplingInterval_ = 0;  ///< pre-backoff sampling interval
     std::uint64_t lastPrefetchesIssued_ = 0;
     std::uint64_t lastPrefetchesDropped_ = 0;

@@ -61,8 +61,7 @@ Guardrails::noteMemPressure(std::uint64_t issued_delta,
         hw != Throttle::Disabled) {
         Throttle next = hw == Throttle::Normal ? Throttle::Damped
                                                : Throttle::Disabled;
-        hwThrottle_.store(static_cast<std::uint8_t>(next),
-                          std::memory_order_relaxed);
+        hwThrottle_ = next;
         hwCalmPolls_ = 0;
         if (next == Throttle::Damped) {
             ++stats_.hwPrefetchDamped;
@@ -237,8 +236,7 @@ Guardrails::endPoll()
                 Throttle next = hw == Throttle::Disabled
                                     ? Throttle::Damped
                                     : Throttle::Normal;
-                hwThrottle_.store(static_cast<std::uint8_t>(next),
-                                  std::memory_order_relaxed);
+                hwThrottle_ = next;
                 ++stats_.hwPrefetchRestored;
                 hwCalmPolls_ = 0;
                 emit("hwpf-restored", 0,

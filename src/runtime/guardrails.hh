@@ -46,7 +46,6 @@
 #ifndef ADORE_RUNTIME_GUARDRAILS_HH
 #define ADORE_RUNTIME_GUARDRAILS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -199,7 +198,7 @@ class Guardrails
      * The watchdog cancelled a stalled phase optimization around
      * @p head (phase PCcenter; 0 when unknown) after @p stall_cycles.
      * Beyond counting, the throttle steps down one notch: a stalled
-     * optimizer is a sign the service is overloaded, so the next phases
+     * optimizer is a sign it is overloaded, so the next phases
      * are optimized more conservatively until calm polls recover it.
      */
     void noteWatchdogFire(Addr head, std::uint64_t stall_cycles);
@@ -215,19 +214,9 @@ class Guardrails
 
     Throttle throttle() const { return throttle_; }
 
-    /**
-     * Hardware-prefetch throttle rung the arbitration currently imposes.
-     * Atomic because the hw-prefetch controller reads it from the main
-     * thread while the free-running optimizer worker owns the guardrail
-     * state machines; relaxed is fine — it is a monotone-ish hint the
-     * controller re-reads every poll.
-     */
-    Throttle
-    hwThrottle() const
-    {
-        return static_cast<Throttle>(
-            hwThrottle_.load(std::memory_order_relaxed));
-    }
+    /** Hardware-prefetch throttle rung the arbitration currently
+     *  imposes (read by the hw-prefetch controller each poll). */
+    Throttle hwThrottle() const { return hwThrottle_; }
 
     const GuardrailStats &stats() const { return stats_; }
     const GuardrailConfig &config() const { return config_; }
@@ -262,8 +251,7 @@ class Guardrails
     // Hardware-prefetch throttle (the "hardware yields first" rung).
     // Recovery is last: hw steps back up only on calm polls while the
     // software throttle is already back to Normal.
-    std::atomic<std::uint8_t> hwThrottle_{
-        static_cast<std::uint8_t>(Throttle::Normal)};
+    Throttle hwThrottle_ = Throttle::Normal;
     std::uint32_t hwCalmPolls_ = 0;
 };
 

@@ -82,12 +82,11 @@ HwPrefetchController::poll(Cycle now)
     ++stats_.polls;
     const HwPrefetchStats cur = engine->stats();
 
-    std::uint64_t seq = phaseSeq_.load(std::memory_order_relaxed);
-    if (seq != seenPhaseSeq_) {
+    if (phaseChanged_) {
         // New phase, new access patterns: every prefetcher restarts
         // from its configured choice and degree and re-earns (or
         // re-loses) its budget against the new phase's counters.
-        seenPhaseSeq_ = seq;
+        phaseChanged_ = false;
         const HwPrefetchConfig &c = engine->config();
         desired_.strideOn = c.stride;
         desired_.vldpOn = c.vldp;

@@ -28,20 +28,14 @@
  * wins fights with the optimizer's lfetches, regardless of how
  * profitable the controller believes its prefetchers to be.
  *
- * Threading: poll() runs on the main (simulation) thread via a Cpu
- * periodic hook and is the only mutator of the engine's tuning.  Phase
- * changes are reported from wherever the runtime consumes PMU windows —
- * the optimizer worker in free-running mode — so notePhaseChange() is a
- * relaxed atomic increment; poll() compares the sequence number.  The
- * guardrail rung crosses the same boundary through the atomic in
- * Guardrails.  Everything is deterministic in the Sync/AsyncBarrier
- * modes the experiments use.
+ * poll() runs in a Cpu periodic hook and is the only mutator of the
+ * engine's tuning; the runtime's poll reports phase changes through
+ * notePhaseChange(), which the next controller poll consumes.
  */
 
 #ifndef ADORE_RUNTIME_HWPF_CONTROLLER_HH
 #define ADORE_RUNTIME_HWPF_CONTROLLER_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "mem/hierarchy.hh"
@@ -107,16 +101,12 @@ class HwPrefetchController
     /**
      * One controller poll: react to a phase change, then walk the
      * decision table over the per-prefetcher counter deltas since the
-     * previous poll, then apply the guardrail cap.  Main thread only.
+     * previous poll, then apply the guardrail cap.
      */
     void poll(Cycle now);
 
-    /** A phase change was detected (any thread; consumed by poll()). */
-    void
-    notePhaseChange()
-    {
-        phaseSeq_.fetch_add(1, std::memory_order_relaxed);
-    }
+    /** A phase change was detected (consumed by the next poll()). */
+    void notePhaseChange() { phaseChanged_ = true; }
 
     const HwPrefetchControllerStats &stats() const { return stats_; }
     const HwPrefetchControllerConfig &config() const { return config_; }
@@ -137,8 +127,7 @@ class HwPrefetchController
     const Guardrails *guardrails_ = nullptr;
     observe::EventTrace *events_ = nullptr;
 
-    std::atomic<std::uint64_t> phaseSeq_{0};
-    std::uint64_t seenPhaseSeq_ = 0;
+    bool phaseChanged_ = false;
 
     /** The controller's desired tuning before the guardrail cap. */
     HwPrefetchEngine::Tuning desired_;

@@ -1,6 +1,7 @@
 #include "workloads/generator.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -570,8 +571,21 @@ renderProgram(const hir::Program &prog)
 namespace
 {
 
+/** Parse all of @p v as a base-10 number.  Empty values, trailing
+ *  bytes, out-of-range values and a sign on an unsigned type are
+ *  rejected (strtoull would read "546junk" as 546 and wrap "-1"). */
+template <typename T>
+bool
+parseNumber(const std::string &v, T &out)
+{
+    const char *end = v.data() + v.size();
+    auto [p, ec] = std::from_chars(v.data(), end, out);
+    return ec == std::errc() && p == end;
+}
+
 /** Split a kernel line into a keyword, a name token, and key=value
- *  fields.  Returns false on a malformed field. */
+ *  fields.  The typed getters return false on a missing or malformed
+ *  field. */
 struct KernelLine
 {
     std::string keyword;
@@ -594,30 +608,21 @@ struct KernelLine
     u64(const char *key, std::uint64_t &out) const
     {
         std::string v;
-        if (!field(key, v))
-            return false;
-        out = std::strtoull(v.c_str(), nullptr, 10);
-        return true;
+        return field(key, v) && parseNumber(v, out);
     }
 
     bool
     i64(const char *key, std::int64_t &out) const
     {
         std::string v;
-        if (!field(key, v))
-            return false;
-        out = std::strtoll(v.c_str(), nullptr, 10);
-        return true;
+        return field(key, v) && parseNumber(v, out);
     }
 
     bool
     f64(const char *key, double &out) const
     {
         std::string v;
-        if (!field(key, v))
-            return false;
-        out = std::strtod(v.c_str(), nullptr);
-        return true;
+        return field(key, v) && parseNumber(v, out);
     }
 };
 
@@ -683,7 +688,7 @@ parseProgram(const std::string &text, hir::Program &out, std::string &err)
             if (!kl.u64("elem", elem) || !kl.u64("count", a.count) ||
                 !kl.u64("fp", fp) || !kl.u64("param", param) ||
                 !kl.u64("init", init) || !kl.u64("range", a.indexRange))
-                return fail("array line missing a field");
+                return fail("array line missing or malformed field");
             if (init > static_cast<std::uint64_t>(
                            hir::DataInit::FpIndex))
                 return fail("array init kind out of range");
@@ -705,7 +710,7 @@ parseProgram(const std::string &text, hir::Program &out, std::string &err)
                 !kl.u64("payload_ptr", pp) ||
                 !kl.u64("ptr_off", l.payloadPtrOffset) ||
                 !kl.u64("ptr_window", l.payloadPtrWindow))
-                return fail("list line missing a field");
+                return fail("list line missing or malformed field");
             l.payloadIsPointer = pp != 0;
             out.addList(l);
         } else if (kl.keyword == "loop") {
@@ -718,7 +723,7 @@ parseProgram(const std::string &text, hir::Program &out, std::string &err)
             if (!kl.u64("trip", loop.trip) || !kl.u64("fpops", fpops) ||
                 !kl.u64("intops", intops) || !kl.u64("call", call) ||
                 !kl.u64("chunks", chunks) || !kl.u64("pad", pad))
-                return fail("loop line missing a field");
+                return fail("loop line missing or malformed field");
             loop.body.extraFpOps = static_cast<int>(fpops);
             loop.body.extraIntOps = static_cast<int>(intops);
             loop.body.hasCall = call != 0;
@@ -734,7 +739,7 @@ parseProgram(const std::string &text, hir::Program &out, std::string &err)
                 !kl.i64("offset", ref.offsetElems) ||
                 !kl.i64("store", store) || !kl.i64("index", index) ||
                 !kl.i64("fpconv", fpconv))
-                return fail("ref line missing a field");
+                return fail("ref line missing or malformed field");
             if (li >= out.loops.size())
                 return fail("ref references an undeclared loop");
             ref.array = static_cast<int>(array);
@@ -749,7 +754,7 @@ parseProgram(const std::string &text, hir::Program &out, std::string &err)
             if (!kl.u64("loop", li) || !kl.i64("list", list) ||
                 !kl.u64("payload", chase.payloadOffset) ||
                 !kl.i64("deref", deref))
-                return fail("chase line missing a field");
+                return fail("chase line missing or malformed field");
             if (li >= out.loops.size())
                 return fail("chase references an undeclared loop");
             chase.list = static_cast<int>(list);
@@ -760,15 +765,16 @@ parseProgram(const std::string &text, hir::Program &out, std::string &err)
             std::string loops;
             if (!kl.u64("repeat", phase.repeat) ||
                 !kl.field("loops", loops))
-                return fail("phase line missing a field");
+                return fail("phase line missing or malformed field");
             std::size_t pos = 0;
             while (pos < loops.size()) {
                 std::size_t comma = loops.find(',', pos);
                 if (comma == std::string::npos)
                     comma = loops.size();
-                phase.loops.push_back(static_cast<int>(std::strtol(
-                    loops.substr(pos, comma - pos).c_str(), nullptr,
-                    10)));
+                int loop = 0;
+                if (!parseNumber(loops.substr(pos, comma - pos), loop))
+                    return fail("phase line has a malformed loop index");
+                phase.loops.push_back(loop);
                 pos = comma + 1;
             }
             out.sequence.push_back(std::move(phase));

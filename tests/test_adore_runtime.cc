@@ -3,8 +3,8 @@
  * Integration tests for the AdoreRuntime controller: end-to-end phase
  * detection + trace optimization on small compiled programs, execution
  * correctness across patching (architectural results must not change),
- * the Fig. 11 monitor-only mode, pool-phase skipping, and the SWP loop
- * filter.
+ * the Fig. 11 monitor-only mode, pool-phase skipping, the SWP loop
+ * filter, per-head revert charging, and the virtual-cycle watchdog.
  */
 
 #include <gtest/gtest.h>
@@ -56,9 +56,7 @@ RunConfig
 baseConfig()
 {
     RunConfig cfg;
-    cfg.compile.level = OptLevel::O2;
-    cfg.compile.softwarePipelining = false;
-    cfg.compile.reserveAdoreRegs = true;
+    cfg.compile = restrictedOptions(OptLevel::O2);
     return cfg;
 }
 
@@ -273,7 +271,6 @@ TEST(AdoreRuntime, RevertChargesPerStillPatchedHead)
 
     RunConfig cfg = baseConfig();
     cfg.adoreConfig = Experiment::defaultAdoreConfig();
-    cfg.adoreConfig.mode = OptimizerMode::Synchronous;
 
     Machine machine(cfg.machine);
     DataLayout dlayout(machine.memory());
@@ -308,6 +305,33 @@ TEST(AdoreRuntime, RevertChargesPerStillPatchedHead)
     EXPECT_EQ(rt.stats().tracesUnpatched - unpatched_before, heads);
     EXPECT_TRUE(rt.patchedHeadsOf(bi).empty());
     rt.detach();
+}
+
+/** Keeps the suite name it had beside the deleted threaded optimizer
+ *  service, so its test ID is unchanged; it runs the in-hook path. */
+TEST(OptimizerService, VirtualWatchdogCancelsStalledPhase)
+{
+    // Every optimizePhase entry draws a 400k-cycle injected stall,
+    // which exceeds the 150k-cycle deadline: the deterministic watchdog
+    // must cancel every optimization attempt, patch nothing, and step
+    // the guardrail throttle down.
+    RunConfig cfg = baseConfig();
+    cfg.adore = true;
+    cfg.adoreConfig = Experiment::defaultAdoreConfig();
+    cfg.adoreConfig.guardrails.enabled = true;
+    cfg.faults.optimizerStallRate = 1.0;
+    cfg.faults.seed = 3;
+    cfg.maxCycles = 8'000'000ULL;
+    cfg.quietCycleLimit = true;
+
+    RunMetrics m = Experiment::run(chaseProgram(), cfg);
+
+    EXPECT_GE(m.adoreStats.phasesWatchdogCancelled, 1u);
+    EXPECT_EQ(m.adoreStats.tracesPatched, 0u);
+    EXPECT_GE(m.faultStats.optimizerStalls, 1u);
+    EXPECT_EQ(m.guardrailStats.watchdogFires,
+              m.adoreStats.phasesWatchdogCancelled);
+    EXPECT_GE(m.guardrailStats.prefetchDamped, 1u);
 }
 
 } // namespace

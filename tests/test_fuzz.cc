@@ -39,8 +39,8 @@ TEST(Fuzz, SmokeSweepHoldsAllInvariants)
     FuzzReport report = Fuzzer::run(spec);
     EXPECT_TRUE(report.ok()) << report.table();
     EXPECT_EQ(report.programs.size(), 6u);
-    // 9 arms per program: the 7 toggle arms plus the chaos pair.
-    EXPECT_EQ(report.runsTotal, 6 * 9);
+    // 8 arms per program: the 6 toggle arms plus the chaos pair.
+    EXPECT_EQ(report.runsTotal, 6 * 8);
 }
 
 TEST(Fuzz, EndlessProgramIsCutOffAndReported)

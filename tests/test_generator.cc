@@ -114,6 +114,28 @@ TEST(Generator, ParserRejectsMalformedKernels)
     // Structurally parseable but semantically invalid (no loops).
     EXPECT_FALSE(
         workloads::parseProgram("kernel v1\nname x\nend\n", out, err));
+
+    // Malformed numbers in an otherwise valid kernel: trailing bytes
+    // and a sign on an unsigned field.
+    const std::string valid =
+        "kernel v1\nname k\n"
+        "array a elem=8 count=546 fp=1 param=0 init=1 range=0\n"
+        "loop l trip=3 fpops=0 intops=0 call=0 chunks=1 pad=0\n"
+        "ref loop=0 array=0 stride=1 offset=0 store=0 index=-1 "
+        "fpconv=0\n"
+        "phase repeat=1 loops=0\nend\n";
+    ASSERT_TRUE(workloads::parseProgram(valid, out, err)) << err;
+    auto edited = [&valid](const std::string &from, const std::string &to) {
+        std::string text = valid;
+        text.replace(text.find(from), from.size(), to);
+        return text;
+    };
+    for (const std::string &bad :
+         {edited("count=546", "count=546junk"), edited("trip=3", "trip=3abc"),
+          edited("count=546", "count=-1")}) {
+        EXPECT_FALSE(workloads::parseProgram(bad, out, err)) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
 }
 
 /**

@@ -125,7 +125,6 @@ TEST(Sampler, OverflowDeliversSsbToHandler)
     sampler.setOverflowHandler(
         [&](const std::vector<Sample> &ssb) {
             deliveries.push_back(ssb.size());
-            return true;
         });
     sampler.setEnabled(true, 0);
     EXPECT_EQ(sampler.nextSampleAt(), 100u);
@@ -152,7 +151,6 @@ TEST(Sampler, SampleIndicesMonotonic)
     sampler.setOverflowHandler([&](const std::vector<Sample> &ssb) {
         for (const Sample &s : ssb)
             indices.push_back(s.index);
-        return true;
     });
     sampler.setEnabled(true, 0);
     for (int i = 1; i <= 6; ++i)

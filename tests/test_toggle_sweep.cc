@@ -3,10 +3,9 @@
  * The toggle bit-identity sweep (DESIGN.md §12, "Correctness
  * contract").
  *
- * Three host-side toggles promise not to change simulated results: the
- * execution tier (interpreter vs direct-threaded superblocks), the
- * memory hierarchy's fastPath shortcuts, and the AsyncBarrier optimizer
- * worker (vs the synchronous in-hook optimizer).  Every case runs one
+ * Two host-side toggles promise not to change simulated results: the
+ * execution tier (interpreter vs direct-threaded superblocks) and the
+ * memory hierarchy's fastPath shortcuts.  Every case runs one
  * registry workload twice, differing only in one toggle, and asserts
  * an empty invariants::diffIdentity — every Sim counter of every stats
  * block, generated from the field lists — and an identical rendered
@@ -15,14 +14,8 @@
  *
  * The sweep is one variant table × the workload registry.  A variant
  * is registered as "All/<suite>.<name>/<workload>", under the suite of
- * the toggle it flips (TierToggle, FastPathToggle, AsyncToggle), so the
- * CI shards select cases by suite name.
- *
- * FreeRunning is deliberately not a variant: its commit timing is
- * nondeterministic between reruns by design (DESIGN.md §11), so no two
- * runs need be identical.  The tier is instead held to the chaos
- * survival invariants there (TierToggleFreeRunning below and the TSan
- * CI shard).
+ * the toggle it flips (TierToggle, FastPathToggle), so the CI shards
+ * select cases by suite name.
  */
 
 #include <gtest/gtest.h>
@@ -48,7 +41,6 @@ enum class Toggle
 {
     Tier,      ///< Interpreter vs DirectThreaded
     FastPath,  ///< HierarchyConfig::fastPath on vs off
-    Barrier,   ///< OptimizerMode Synchronous vs AsyncBarrier
 };
 
 struct Variant
@@ -57,34 +49,24 @@ struct Variant
     const char *name;
     Toggle toggle;
     bool adore = false;
-    OptimizerMode mode = OptimizerMode::Synchronous;
-    bool chaos = false;    ///< full fault schedule + guardrails
-    bool fusion = true;    ///< CpuConfig::superblockFusion
-    bool hwpf = false;     ///< hardware-prefetcher zoo, adaptive
+    bool chaos = false;  ///< full fault schedule + guardrails
+    bool hwpf = false;   ///< hardware-prefetcher zoo, adaptive
+    bool fusion = true;  ///< CpuConfig::superblockFusion
 };
-
-constexpr OptimizerMode kSync = OptimizerMode::Synchronous;
-constexpr OptimizerMode kBarrier = OptimizerMode::AsyncBarrier;
 
 const Variant kVariants[] = {
     {"TierToggle", "NoAdoreBitIdentical", Toggle::Tier},
-    {"TierToggle", "AdoreSyncBitIdentical", Toggle::Tier, true, kSync},
+    {"TierToggle", "AdoreSyncBitIdentical", Toggle::Tier, true},
     {"TierToggle", "AdoreSyncBitIdenticalUnderChaos", Toggle::Tier, true,
-     kSync, true},
-    {"TierToggle", "AdoreBarrierBitIdenticalUnderChaos", Toggle::Tier,
-     true, kBarrier, true},
+     true},
     {"TierToggle", "AdoreSyncFusionOffBitIdentical", Toggle::Tier, true,
-     kSync, false, false},
-    {"TierToggle", "HwpfNoAdoreBitIdentical", Toggle::Tier, false, kSync,
-     false, true, true},
+     false, false, false},
+    {"TierToggle", "HwpfNoAdoreBitIdentical", Toggle::Tier, false, false,
+     true},
     {"TierToggle", "HwpfAdoreBitIdenticalUnderChaos", Toggle::Tier, true,
-     kSync, true, true, true},
-    {"AsyncToggle", "BarrierBitIdentical", Toggle::Barrier, true},
-    {"AsyncToggle", "BarrierBitIdenticalUnderChaos", Toggle::Barrier, true,
-     kSync, true},
+     true, true},
     {"FastPathToggle", "BitIdenticalMetricsBaseline", Toggle::FastPath},
-    {"FastPathToggle", "BitIdenticalMetricsAdore", Toggle::FastPath, true,
-     kBarrier},
+    {"FastPathToggle", "BitIdenticalMetricsAdore", Toggle::FastPath, true},
 };
 
 const Variant &
@@ -109,10 +91,8 @@ configFor(const Variant &v, bool flipped)
     cfg.maxCycles = 3'000'000ULL;
     cfg.quietCycleLimit = true;
     cfg.adore = v.adore;
-    if (v.adore) {
+    if (v.adore)
         cfg.adoreConfig = Experiment::defaultAdoreConfig();
-        cfg.adoreConfig.mode = v.mode;
-    }
     if (v.chaos) {
         cfg.faults = defaultChaosFaults();
         cfg.faults.seed = 7;
@@ -126,9 +106,6 @@ configFor(const Variant &v, bool flipped)
         break;
       case Toggle::FastPath:
         cfg.machine.hier.fastPath = !flipped;
-        break;
-      case Toggle::Barrier:
-        cfg.adoreConfig.mode = flipped ? kBarrier : kSync;
         break;
     }
     return cfg;
@@ -231,20 +208,6 @@ const bool kSweepRegistered = [] {
     }
     return true;
 }();
-
-/** FreeRunning: nondeterministic commit timing rules out bit-identity;
- *  the tier must instead keep every chaos survival invariant. */
-TEST(TierToggleFreeRunning, SurvivesChaosWithTierEnabled)
-{
-    ChaosSpec spec;
-    spec.workloads = {"mcf", "art", "equake"};
-    spec.seeds = {1, 2, 3};
-    spec.maxCycles = 8'000'000ULL;
-    spec.freeRunning = true;
-    spec.execTier = ExecTier::DirectThreaded;
-    ChaosReport report = Experiment::runChaos(spec);
-    EXPECT_TRUE(report.ok()) << report.table();
-}
 
 /**
  * The diff the sweep relies on is generated from the field lists: a

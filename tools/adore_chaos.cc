@@ -12,10 +12,6 @@
  *   adore_chaos --margin 1.15            chaotic-CPI margin vs baseline
  *   adore_chaos --max-cycles 20000000    per-run cycle budget
  *   adore_chaos --jobs N                 thread-pool width
- *   adore_chaos --threads                free-running optimizer worker
- *                                        per chaotic run (thread-stress
- *                                        soak; watchdog fires counted in
- *                                        the sweep table)
  *   adore_chaos --exec-tier TIER         execution tier for every run:
  *                                        "interpreter" or "direct"
  *                                        (default: the CpuConfig default)
@@ -51,7 +47,7 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--smoke | --soak] [--workloads a,b,c] "
                  "[--seeds N] [--margin X] [--max-cycles N] [--jobs N] "
-                 "[--threads] [--exec-tier interpreter|direct] [--hwpf]\n",
+                 "[--exec-tier interpreter|direct] [--hwpf]\n",
                  argv0);
     return 2;
 }
@@ -116,8 +112,6 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             spec.jobs = static_cast<unsigned>(
                 std::strtoul(value("--jobs"), nullptr, 10));
-        } else if (arg == "--threads") {
-            spec.freeRunning = true;
         } else if (arg == "--hwpf") {
             spec.hwPrefetch = true;
         } else if (arg == "--exec-tier") {
