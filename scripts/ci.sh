@@ -29,6 +29,12 @@
 # chain links are exactly the use-after-free shape ASan exists to
 # catch.
 #
+# Demand-paged data segment (DESIGN.md §8): seeded arrays reach memory
+# as deferred per-page fills that hold RNG snapshots and write raw page
+# bytes on a page's first touch; the ctest sweep pins their byte
+# identity (DataSegment.*) and how many pages exist (DataMaterialisation),
+# and the ASan pass re-runs the MainMemory/DataSegment shard.
+#
 # Hardware-prefetcher coverage (DESIGN.md §13): a --hwpf chaos smoke
 # runs the zoo plus ADORE under the fault schedule (shared-bus
 # arbitration soak), the ASan pass re-runs the Hwpf* shard with the
@@ -155,6 +161,11 @@ if [[ "${ADORE_CI_SKIP_SANITIZERS:-0}" != "1" ]]; then
     # exists to check.
     ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
         "$SAN_DIR"/tests/adore_tests --gtest_filter='Hwpf*'
+
+    # Deferred-fill shard under ASan+UBSan: pending fills hold RNG
+    # snapshots and write raw page memory when the page is first built.
+    ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
+        "$SAN_DIR"/tests/adore_tests --gtest_filter='MainMemory*:DataSegment*'
 
     # Generator/shrinker shard under ASan+UBSan: the generator walks
     # index vectors it also rewrites (dropUnreachable's remaps) and the

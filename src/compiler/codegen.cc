@@ -64,42 +64,10 @@ CodeGen::layoutData(DataLayout &data)
 
     for (std::size_t i = 0; i < prog_.arrays.size(); ++i) {
         const hir::ArrayDecl &arr = prog_.arrays[i];
-        Addr base = data.alloc(prog_.name + "." + arr.name, arr.bytes(),
-                               128);
-        addrs_.arrayBase[i] = base;
-        MainMemory &mem = data.memory();
-        switch (arr.init) {
-          case hir::DataInit::Zero:
-            break;
-          case hir::DataInit::RandomFp:
-            for (std::uint64_t k = 0; k < arr.count; ++k) {
-                double v = rng.real() - 0.5;
-                if (arr.elemBytes == 4)
-                    mem.writeF32(base + k * 4, static_cast<float>(v));
-                else
-                    mem.writeF64(base + k * 8, v);
-            }
-            break;
-          case hir::DataInit::RandomInt:
-            for (std::uint64_t k = 0; k < arr.count; ++k)
-                mem.write(base + k * arr.elemBytes, rng.next() & 0xffff,
-                          arr.elemBytes);
-            break;
-          case hir::DataInit::Index:
-            for (std::uint64_t k = 0; k < arr.count; ++k)
-                mem.write(base + k * arr.elemBytes,
-                          rng.below(arr.indexRange), arr.elemBytes);
-            break;
-          case hir::DataInit::FpIndex:
-            for (std::uint64_t k = 0; k < arr.count; ++k) {
-                double v = static_cast<double>(rng.below(arr.indexRange));
-                if (arr.elemBytes == 4)
-                    mem.writeF32(base + k * 4, static_cast<float>(v));
-                else
-                    mem.writeF64(base + k * 8, v);
-            }
-            break;
-        }
+        addrs_.arrayBase[i] =
+            data.allocArray(prog_.name + "." + arr.name, arr.init,
+                            arr.elemBytes, arr.count, arr.indexRange, rng,
+                            128);
     }
 
     for (std::size_t i = 0; i < prog_.lists.size(); ++i) {

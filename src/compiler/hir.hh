@@ -20,18 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "program/data_layout.hh"
+
 namespace adore::hir
 {
 
-/** How a data region is initialized before the program runs. */
-enum class DataInit : std::uint8_t
-{
-    Zero,       ///< all zero bytes
-    RandomFp,   ///< random small doubles/floats
-    RandomInt,  ///< random 64-bit integers
-    Index,      ///< random indices in [0, indexRange): `a[k]` of `b[a[k]]`
-    FpIndex,    ///< FP values that are valid indices in [0, indexRange)
-};
+/** How an array is initialized; DataLayout::allocArray writes it. */
+using DataInit = adore::DataInit;
 
 struct ArrayDecl
 {
@@ -46,7 +41,7 @@ struct ArrayDecl
      */
     bool isParam = false;
     DataInit init = DataInit::Zero;
-    std::uint64_t indexRange = 0;  ///< for DataInit::Index
+    std::uint64_t indexRange = 0;  ///< for the DataInit::Index kinds
 
     std::uint64_t bytes() const { return count * elemBytes; }
 };

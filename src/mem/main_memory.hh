@@ -4,6 +4,12 @@
  * holding real data values.  Pointer-chasing workloads store actual node
  * addresses in it, and indirect-array workloads store real index vectors,
  * so the ADORE prefetcher sees genuine address streams.
+ *
+ * Pages are demand-paged: a page's host bytes exist only once something
+ * reads or writes it.  Initial contents can be registered ahead of that
+ * as deferred fills (deferFill), which run when their page is first
+ * allocated, so every reader sees exactly the bytes an eager write
+ * would have left there.
  */
 
 #ifndef ADORE_MEM_MAIN_MEMORY_HH
@@ -12,10 +18,14 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "isa/insn.hh"
+#include "support/logging.hh"
 
 namespace adore
 {
@@ -25,6 +35,13 @@ class MainMemory
   public:
     static constexpr unsigned pageShift = 16;  ///< 64 KiB pages
     static constexpr Addr pageBytes = Addr{1} << pageShift;
+
+    /**
+     * A deferred initialiser for part of one page.  It is called with
+     * the host bytes backing the address it was registered at and must
+     * write only the byte count it was registered with.
+     */
+    using Fill = std::function<void(std::uint8_t *)>;
 
     /** Read @p size bytes (1/2/4/8), zero-extended. */
     std::uint64_t
@@ -126,7 +143,34 @@ class MainMemory
         write(addr, bits, 4);
     }
 
-    /** Number of allocated (touched) pages, for tests. */
+    /**
+     * Initialise [@p addr, @p addr + @p bytes), which must lie in one
+     * page, by running @p fill on it.  On a page that is not yet
+     * allocated the fill waits and runs when the page is first read or
+     * written, before that access; on an allocated page it runs now.
+     * Fills on one page run in registration order.
+     */
+    void
+    deferFill(Addr addr, Addr bytes, Fill fill)
+    {
+        if (bytes == 0)
+            return;
+        Addr off = addr & (pageBytes - 1);
+        panic_if(off + bytes > pageBytes,
+                 "deferFill: %llu bytes at %#llx straddle a page",
+                 static_cast<unsigned long long>(bytes),
+                 static_cast<unsigned long long>(addr));
+        auto it = pages_.find(addr >> pageShift);
+        if (it != pages_.end())
+            fill(it->second.get() + off);
+        else
+            pending_[addr >> pageShift].push_back({off, std::move(fill)});
+    }
+
+    /**
+     * Number of materialised pages: those some access has touched.  A
+     * page that holds only pending fills is not counted.
+     */
     std::size_t allocatedPages() const { return pages_.size(); }
 
     /**
@@ -163,14 +207,28 @@ class MainMemory
         if (pageCacheKey_[slot] == key)
             return pageCachePtr_[slot];
         auto it = pages_.find(key);
-        if (it == pages_.end()) {
-            auto mem = std::make_unique<std::uint8_t[]>(pageBytes);
-            std::memset(mem.get(), 0, pageBytes);
-            it = pages_.emplace(key, std::move(mem)).first;
-        }
+        std::uint8_t *bytes =
+            it != pages_.end() ? it->second.get() : materialise(key);
         pageCacheKey_[slot] = key;
-        pageCachePtr_[slot] = it->second.get();
-        return pageCachePtr_[slot];
+        pageCachePtr_[slot] = bytes;
+        return bytes;
+    }
+
+    /** Allocate page @p key zeroed and run its pending fills. */
+    [[gnu::noinline]] std::uint8_t *
+    materialise(Addr key)
+    {
+        // make_unique<T[]> value-initialises: the page starts zeroed.
+        std::uint8_t *bytes =
+            pages_.emplace(key, std::make_unique<std::uint8_t[]>(pageBytes))
+                .first->second.get();
+        auto pending = pending_.find(key);
+        if (pending != pending_.end()) {
+            for (PendingFill &p : pending->second)
+                p.fill(bytes + p.offset);
+            pending_.erase(pending);
+        }
+        return bytes;
     }
 
     void
@@ -205,7 +263,15 @@ class MainMemory
 
     static constexpr std::size_t pageCacheEntries = 16;
 
+    struct PendingFill
+    {
+        Addr offset;  ///< within the page
+        Fill fill;
+    };
+
     std::unordered_map<Addr, std::unique_ptr<std::uint8_t[]>> pages_;
+    /** Fills waiting for their page's first touch, keyed like pages_. */
+    std::unordered_map<Addr, std::vector<PendingFill>> pending_;
     std::array<Addr, pageCacheEntries> pageCacheKey_ = [] {
         std::array<Addr, pageCacheEntries> keys{};
         keys.fill(kNoPage);

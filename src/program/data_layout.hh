@@ -1,9 +1,9 @@
 /**
  * @file
  * DataLayout: a bump allocator for the simulated process data segment,
- * plus helpers for the data shapes the workloads need (index vectors for
- * indirect references, linked lists with regular or shuffled node order
- * for pointer chasing).
+ * plus helpers for the data shapes the workloads need (seeded arrays,
+ * among them index vectors for indirect references, and linked lists
+ * with regular or shuffled node order for pointer chasing).
  */
 
 #ifndef ADORE_PROGRAM_DATA_LAYOUT_HH
@@ -19,6 +19,16 @@
 
 namespace adore
 {
+
+/** How an array is initialised before the program runs. */
+enum class DataInit : std::uint8_t
+{
+    Zero,       ///< all zero bytes
+    RandomFp,   ///< random small doubles/floats in [-0.5, 0.5)
+    RandomInt,  ///< random integers in [0, 0xffff]
+    Index,      ///< random indices in [0, range): `a[k]` of `b[a[k]]`
+    FpIndex,    ///< FP values that are valid indices in [0, range)
+};
 
 class DataLayout
 {
@@ -38,12 +48,22 @@ class DataLayout
     std::uint64_t bytesUsed() const { return cursor_ - dataBase; }
 
     /**
-     * Allocate an i64 index array of @p count entries mapping into
-     * [0, @p range) — the `a[k]` of an indirect reference `b[a[k]]`.
-     * @p rng shuffles so the target stream has no spatial locality.
+     * Allocate an array of @p count elements of @p elem_bytes (4 or 8)
+     * bytes each, initialised as @p init says from @p rng (@p range
+     * bounds the Index kinds).  Every element of a non-Zero kind takes
+     * exactly one Rng::next() draw, except that an Index kind over an
+     * empty range draws none and stays zero.
+     *
+     * The contents are demand-paged: one MainMemory::deferFill per page
+     * the array spans, holding a copy of @p rng taken at that segment's
+     * first element, while @p rng itself is advanced past the segment.
+     * Any later read, and the state @p rng is left in, are therefore
+     * byte-identical to writing every element now, but a page the
+     * program never touches is never built.
      */
-    Addr allocIndexArray(const std::string &name, std::uint64_t count,
-                         std::uint64_t range, Rng &rng);
+    Addr allocArray(const std::string &name, DataInit init,
+                    std::uint32_t elem_bytes, std::uint64_t count,
+                    std::uint64_t range, Rng &rng, std::uint64_t align = 64);
 
     /**
      * Allocate a singly-linked list of @p count nodes of @p node_bytes

@@ -46,6 +46,14 @@ class Rng
         return result;
     }
 
+    /** Advance the state past @p n draws of next(). */
+    void
+    discard(std::uint64_t n)
+    {
+        for (; n > 0; --n)
+            next();
+    }
+
     /** Uniform integer in [0, bound). */
     std::uint64_t
     below(std::uint64_t bound)

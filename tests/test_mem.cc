@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "mem/hierarchy.hh"
 #include "mem/main_memory.hh"
 #include "support/rng.hh"
@@ -49,6 +51,93 @@ TEST(MainMemory, FloatRoundtrips)
     EXPECT_DOUBLE_EQ(mem.readF64(0x2000), 3.14159);
     mem.writeF32(0x3000, 2.5f);
     EXPECT_FLOAT_EQ(mem.readF32(0x3000), 2.5f);
+}
+
+/** A deferred fill writing @p value at its start and counting its runs. */
+MainMemory::Fill
+countingFill(std::uint64_t value, int &runs)
+{
+    return [value, &runs](std::uint8_t *dst) {
+        ++runs;
+        std::memcpy(dst, &value, 8);
+    };
+}
+
+TEST(MainMemory, DeferredFillRunsOnceOnFirstRead)
+{
+    MainMemory mem;
+    int runs = 0;
+    mem.deferFill(0x10008, 8, countingFill(0xabcdULL, runs));
+    EXPECT_EQ(runs, 0);
+    EXPECT_EQ(mem.allocatedPages(), 0u);
+    EXPECT_EQ(mem.readU64(0x10008), 0xabcdULL);
+    EXPECT_EQ(runs, 1);
+    mem.writeU64(0x10008, 7);
+    EXPECT_EQ(mem.readU64(0x10008), 7u);
+    EXPECT_EQ(runs, 1);
+}
+
+TEST(MainMemory, DeferredFillRunsBeforeFirstWrite)
+{
+    MainMemory mem;
+    int runs = 0;
+    mem.deferFill(0x10000, 8, countingFill(0xabcdULL, runs));
+    mem.writeU64(0x10000, 7);  // the fill must not overwrite this
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(mem.readU64(0x10000), 7u);
+    EXPECT_EQ(runs, 1);
+}
+
+TEST(MainMemory, DeferredFillOnAllocatedPageRunsImmediately)
+{
+    MainMemory mem;
+    mem.writeU64(0x20000, 1);
+    int runs = 0;
+    mem.deferFill(0x20010, 8, countingFill(0x55ULL, runs));
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(mem.readU64(0x20010), 0x55u);
+    EXPECT_EQ(mem.readU64(0x20000), 1u);
+    EXPECT_EQ(runs, 1);
+}
+
+TEST(MainMemory, RegionsSharingAPageBothMaterialise)
+{
+    MainMemory mem;
+    int runsA = 0;
+    int runsB = 0;
+    mem.deferFill(0x30000, 8, countingFill(0xaaULL, runsA));
+    mem.deferFill(0x3fff8, 8, countingFill(0xbbULL, runsB));
+    EXPECT_EQ(mem.readU64(0x3fff8), 0xbbu);
+    EXPECT_EQ(runsA, 1);
+    EXPECT_EQ(runsB, 1);
+    EXPECT_EQ(mem.readU64(0x30000), 0xaau);
+    EXPECT_EQ(mem.allocatedPages(), 1u);
+}
+
+TEST(MainMemory, WriteKeepsTheOtherInitialWords)
+{
+    MainMemory mem;
+    mem.deferFill(0x40000, 32, [](std::uint8_t *dst) {
+        for (std::uint64_t w = 0; w < 4; ++w)
+            std::memcpy(dst + w * 8, &w, 8);
+    });
+    mem.write(0x40008, 0xff, 1);
+    EXPECT_EQ(mem.readU64(0x40000), 0u);
+    EXPECT_EQ(mem.readU64(0x40008), 0xffu);
+    EXPECT_EQ(mem.readU64(0x40010), 2u);
+    EXPECT_EQ(mem.readU64(0x40018), 3u);
+}
+
+TEST(MainMemory, PendingPagesAreNotCounted)
+{
+    MainMemory mem;
+    int runs = 0;
+    mem.deferFill(0x50000, 8, countingFill(1, runs));
+    mem.deferFill(0x60000, 8, countingFill(2, runs));
+    EXPECT_EQ(mem.allocatedPages(), 0u);
+    EXPECT_EQ(mem.readU64(0x60000), 2u);
+    EXPECT_EQ(mem.allocatedPages(), 1u);
+    EXPECT_EQ(runs, 1);
 }
 
 CacheConfig

@@ -175,7 +175,7 @@ TEST(DataLayout, IndexArrayWithinRange)
     MainMemory mem;
     DataLayout data(mem);
     Rng rng(1);
-    Addr base = data.allocIndexArray("idx", 1000, 50, rng);
+    Addr base = data.allocArray("idx", DataInit::Index, 8, 1000, 50, rng);
     for (int i = 0; i < 1000; ++i)
         EXPECT_LT(mem.readU64(base + static_cast<Addr>(i) * 8), 50u);
 }
