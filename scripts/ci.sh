@@ -36,8 +36,8 @@
 # and the ASan pass re-runs the MainMemory/DataSegment shard.
 #
 # Hardware-prefetcher coverage (DESIGN.md §13): a --hwpf chaos smoke
-# runs the zoo plus ADORE under the fault schedule (shared-bus
-# arbitration soak), the ASan pass re-runs the Hwpf* shard with the
+# soaks the static zoo and guardrailed ADORE on one shared bus under
+# the fault schedule, the ASan pass re-runs the Hwpf* shard with the
 # engine's raw-index tables instrumented, and the --regen-experiments
 # --check gate below also covers the generated hwpf_study block.
 #
@@ -77,9 +77,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 # interpreter, so a tier-specific crash or guardrail miss fails CI no
 # matter which tier a user has configured.  A third pass soaks the
 # hardware-prefetcher zoo (--hwpf): both runs of every pair get the
-# engines, so the CPI margin checks hw+ADORE against an hw-only
-# baseline and the guardrail's shared-bus arbitration runs under the
-# fault schedule (DESIGN.md §13).
+# static zoo, so the CPI margin checks hw+ADORE against an hw-only
+# baseline while guardrailed ADORE shares the bus with the engines
+# under the fault schedule (DESIGN.md §13).
 "$BUILD_DIR"/tools/adore_chaos --smoke --max-cycles 8000000 \
     --exec-tier direct
 "$BUILD_DIR"/tools/adore_chaos --smoke --max-cycles 8000000 \

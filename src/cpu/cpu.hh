@@ -79,7 +79,7 @@ struct CpuConfig
      * only ever promoted loops of up to 4 bundles, which starved
      * ADORE-patched pool traces (init + prefetch bundles push the hot
      * loop past 4).  64 matches kSuperblockMaxBundles.  The same value
-     * is the set count of the 4-way LRU superblock cache (same keying:
+     * is the set count of the 8-way LRU superblock cache (same keying:
      * both track the bundles of the current hot region).  Host-only:
      * sizing cannot affect simulated metrics.
      */
@@ -91,14 +91,6 @@ struct CpuConfig
      * threshold-th such arrival builds.  0 disables formation entirely.
      */
     std::uint32_t superblockHotThreshold = 16;
-    /**
-     * Build-time peephole fusion of compare+branch pairs and the
-     * loop-tail patterns into combined handlers.  Pure host
-     * optimization — the fused handlers are exact concatenations of the
-     * unfused ones, pinned bit-identical across the registry by
-     * tests/test_toggle_sweep.cc.
-     */
-    bool superblockFusion = true;
 };
 
 class Cpu
@@ -596,7 +588,7 @@ class Cpu
     };
     std::vector<BundleCacheEntry> bundleCache_;
     std::size_t bundleCacheMask_;
-    /** Superblock tier state (exec_tier.hh): one 4-way set per
+    /** Superblock tier state (exec_tier.hh): one 8-way set per
      *  bundleCache_ entry. */
     std::unique_ptr<SuperblockCache> superblocks_;
     bool execTierEnabled_;             ///< CpuConfig::execTier

@@ -201,7 +201,6 @@ Cpu::buildSuperblockAt(Addr head)
         if (labels)
             uop.handler = labels[static_cast<std::size_t>(uop.kind)];
     };
-    const bool fusion = config_.superblockFusion;
 
     std::vector<Uop> tmp;  // one bundle's instruction uops, pre-merge
     for (std::size_t i = 0; i < body.size(); ++i) {
@@ -220,7 +219,7 @@ Cpu::buildSuperblockAt(Addr head)
         for (int slot = 0; slot < n; ++slot)
             if (bundle.slot(slot).op == Opcode::Halt)
                 has_halt = true;
-        bool fuse_br = fusion && last && !has_halt && n >= 1 &&
+        bool fuse_br = last && !has_halt && n >= 1 &&
                        bundle.slot(n - 1).op == Opcode::Br;
         bool fuse_cmp = fuse_br && n >= 2 && isCmp(bundle.slot(n - 2).op);
 
@@ -236,7 +235,7 @@ Cpu::buildSuperblockAt(Addr head)
             uop.bundleAddr = baddr;
             tmp.push_back(uop);
         }
-        if (fusion && tmp.size() >= 2) {
+        if (tmp.size() >= 2) {
             std::size_t w = 0;
             for (std::size_t rd = 0; rd < tmp.size(); ++rd) {
                 UopKind fused;

@@ -103,8 +103,8 @@ constexpr std::uint32_t kSuperblockMaxInvalidations = 64;
  *                    loop tail)
  *  - Cmp**Br       = the same `cmp ; br` pair anywhere else in the
  *                    region (interior side exits)
- * The pair kinds are produced by the build-time peephole pass, gated
- * by CpuConfig::superblockFusion.
+ * The pair kinds are produced by the build-time peephole pass, always
+ * on; the interpreter tier is the oracle for the fused handlers.
  */
 #define ADORE_SB_UOP_KINDS(X)                                           \
     X(BundleStart)                                                      \
@@ -272,13 +272,15 @@ struct SuperblockStats
 };
 
 /**
- * Four-way set-associative superblock cache keyed on head bundle
+ * Eight-way set-associative superblock cache keyed on head bundle
  * address, with LRU replacement.  It has CpuConfig::bundleCacheEntries
  * sets, so the same knob sizes it and the decoded-bundle cache (they
  * cover the same working set: the bundles of the current hot region).
- * Four ways let the heads of neighbouring loops that share a set stay
+ * Eight ways let the heads of neighbouring loops that share a set stay
  * resident together instead of evicting each other on every phase
- * repeat.  A lookup that finds a block with a stale span-generation
+ * repeat: gcc cycles five hot heads through one set (four text loops
+ * 3 KiB apart and an ADORE pool trace), which four ways thrash under
+ * LRU.  A lookup that finds a block with a stale span-generation
  * sum drops the block (after unlinking it from the chain graph) and
  * charges the head's churn counter in the promotion table.
  *
@@ -294,7 +296,7 @@ struct SuperblockStats
 class SuperblockCache
 {
   public:
-    static constexpr std::size_t ways = 4;
+    static constexpr std::size_t ways = 8;
 
     /** @p sets must be a power of two (Cpu validates the config).
      *  @p max_invalidations blacklists a head after that many stale
@@ -312,16 +314,17 @@ class SuperblockCache
     Superblock *
     lookup(Addr head, const CodeImage &code)
     {
-        for (Way &w : sets_[setIndex(head)]) {
-            if (w.head != head)
+        Set &set = sets_[setIndex(head)];
+        for (std::size_t i = 0; i < ways; ++i) {
+            if (set.heads[i] != head)
                 continue;
-            if (code.spanGeneration(w.sb->head, w.sb->spanEnd) !=
-                w.sb->genSum) {
-                dropStale(w);
+            Superblock *sb = set.blocks[i].get();
+            if (code.spanGeneration(sb->head, sb->spanEnd) != sb->genSum) {
+                dropStale(set, i);
                 return nullptr;
             }
-            w.lastUse = ++tick_;
-            return w.sb.get();
+            set.lastUse[i] = ++tick_;
+            return sb;
         }
         return nullptr;
     }
@@ -331,12 +334,12 @@ class SuperblockCache
     const Superblock *
     probe(Addr head, const CodeImage &code) const
     {
-        for (const Way &w : sets_[setIndex(head)]) {
-            if (w.head == head &&
-                code.spanGeneration(w.sb->head, w.sb->spanEnd) ==
-                    w.sb->genSum) {
-                return w.sb.get();
-            }
+        const Set &set = sets_[setIndex(head)];
+        for (std::size_t i = 0; i < ways; ++i) {
+            const Superblock *sb = set.blocks[i].get();
+            if (set.heads[i] == head &&
+                code.spanGeneration(sb->head, sb->spanEnd) == sb->genSum)
+                return sb;
         }
         return nullptr;
     }
@@ -351,22 +354,22 @@ class SuperblockCache
     insert(std::unique_ptr<Superblock> sb)
     {
         Set &set = sets_[setIndex(sb->head)];
-        Way *victim = &set[0];
-        for (Way &w : set) {
-            if (w.head == sb->head) {
-                victim = &w;
+        std::size_t victim = 0;
+        for (std::size_t i = 0; i < ways; ++i) {
+            if (set.heads[i] == sb->head) {
+                victim = i;
                 break;
             }
-            if (w.lastUse < victim->lastUse)
-                victim = &w;
+            if (set.lastUse[i] < set.lastUse[victim])
+                victim = i;
         }
-        if (victim->sb) {
-            unlinkBlock(victim->sb.get());
+        if (set.blocks[victim]) {
+            unlinkBlock(set.blocks[victim].get());
             ++stats_.replaced;
         }
-        victim->head = sb->head;
-        victim->lastUse = ++tick_;
-        victim->sb = std::move(sb);
+        set.heads[victim] = sb->head;
+        set.lastUse[victim] = ++tick_;
+        set.blocks[victim] = std::move(sb);
         ++stats_.built;
     }
 
@@ -378,8 +381,9 @@ class SuperblockCache
     void
     invalidateBlock(Superblock *sb)
     {
-        if (Way *w = wayOf(sb))
-            dropStale(*w);
+        Set &set = sets_[setIndex(sb->head)];
+        if (std::size_t i = wayOf(set, sb); i < ways)
+            dropStale(set, i);
     }
 
     /**
@@ -435,8 +439,9 @@ class SuperblockCache
         e.demoted = true;
         e.gen = code.regionGeneration(sb->head);
         unlinkBlock(sb);
-        if (Way *w = wayOf(sb))
-            *w = Way{};
+        Set &set = sets_[setIndex(sb->head)];
+        if (std::size_t i = wayOf(set, sb); i < ways)
+            set.clear(i);
         ++stats_.demoted;
     }
 
@@ -444,15 +449,27 @@ class SuperblockCache
     const SuperblockStats &stats() const { return stats_; }
 
   private:
-    /** One way of a set.  `head` mirrors sb->head (~0 when empty: no
-     *  bundle address is odd) so a set scan touches no block. */
-    struct Way
+    /** One set, stored by field: `heads[i]` mirrors blocks[i]->head
+     *  (~0 when empty: no bundle address is odd), so the lookup that
+     *  precedes every interpreted bundle scans one cache line and
+     *  touches no block. */
+    struct alignas(64) Set
     {
-        Addr head = ~Addr{0};
-        std::uint64_t lastUse = 0;  ///< tick_ at insert / last lookup hit
-        std::unique_ptr<Superblock> sb;
+        std::array<Addr, ways> heads;
+        /** tick_ at insert / last lookup hit; 0 when empty. */
+        std::array<std::uint64_t, ways> lastUse{};
+        std::array<std::unique_ptr<Superblock>, ways> blocks;
+
+        Set() { heads.fill(~Addr{0}); }
+
+        void
+        clear(std::size_t i)
+        {
+            heads[i] = ~Addr{0};
+            lastUse[i] = 0;
+            blocks[i].reset();
+        }
     };
-    using Set = std::array<Way, ways>;
 
     struct PromoteEntry
     {
@@ -468,14 +485,15 @@ class SuperblockCache
         return static_cast<std::size_t>(head / isa::bundleBytes) & mask_;
     }
 
-    Way *
-    wayOf(const Superblock *sb)
+    /** The way of @p set holding @p sb, or `ways` when none does. */
+    static std::size_t
+    wayOf(const Set &set, const Superblock *sb)
     {
-        for (Way &w : sets_[setIndex(sb->head)]) {
-            if (w.sb.get() == sb)
-                return &w;
+        for (std::size_t i = 0; i < ways; ++i) {
+            if (set.blocks[i].get() == sb)
+                return i;
         }
-        return nullptr;
+        return ways;
     }
 
     PromoteEntry &
@@ -522,16 +540,17 @@ class SuperblockCache
     }
 
     void
-    dropStale(Way &w)
+    dropStale(Set &set, std::size_t i)
     {
-        PromoteEntry &e = promoteFor(w.head);
-        if (e.head != w.head) {
+        Addr head = set.heads[i];
+        PromoteEntry &e = promoteFor(head);
+        if (e.head != head) {
             e = PromoteEntry{};
-            e.head = w.head;
+            e.head = head;
         }
         ++e.invalidations;
-        unlinkBlock(w.sb.get());
-        w = Way{};
+        unlinkBlock(set.blocks[i].get());
+        set.clear(i);
         ++stats_.invalidated;
     }
 

@@ -68,8 +68,8 @@ struct ChaosSpec
     ExecTier execTier = CpuConfig().execTier;
     /** Enable the hardware-prefetcher zoo on *both* runs of every pair
      *  (adore_chaos --hwpf): the CPI margin then compares hw+ADORE
-     *  against an hw-only baseline, exercising the guardrail's
-     *  shared-bus arbitration under the fault schedule. */
+     *  against an hw-only baseline, with guardrailed ADORE and the
+     *  static zoo sharing one bus under the fault schedule. */
     bool hwPrefetch = false;
 
     ChaosSpec();

@@ -81,7 +81,7 @@ buildArms(const FuzzSpec &spec, std::uint64_t seed)
     adoreDirect.compareAdore = true;
     arms.push_back(adoreDirect);
 
-    // 5: hardware-prefetcher zoo, adaptive controller (consistency
+    // 5: hardware-prefetcher zoo at its static defaults (consistency
     // only: no identity is promised for an active engine).
     ArmDef hwpf{"hwpf", base};
     hwpf.cfg.machine.cpu.execTier = ExecTier::DirectThreaded;

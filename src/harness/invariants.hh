@@ -60,8 +60,6 @@ forEachStatBlock(F &&f)
       false);
     f("hwpf.pointer", [](auto &m) -> auto & { return m.hwpfStats.pointer; },
       false);
-    f("hwpf.controller",
-      [](auto &m) -> auto & { return m.hwpfControllerStats; }, false);
     f("tier", [](auto &m) -> auto & { return m.superblockStats; }, false);
     f("adore", [](auto &m) -> auto & { return m.adoreStats; }, true);
     f("pmu", [](auto &m) -> auto & { return m.samplerStats; }, true);

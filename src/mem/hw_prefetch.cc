@@ -28,12 +28,6 @@ HwPrefetchEngine::HwPrefetchEngine(const HwPrefetchConfig &config,
       lineShift_(log2u(line_bytes)),
       lineBytes_(line_bytes)
 {
-    tuning_.strideOn = config.stride;
-    tuning_.vldpOn = config.vldp;
-    tuning_.pointerOn = config.pointer;
-    tuning_.strideDegree = config.strideDegree;
-    tuning_.vldpDegree = config.vldpDegree;
-    tuning_.pointerDegree = config.pointerDegree;
     rpt_.assign(config.strideTableEntries, StrideEntry());
     dhb_.assign(config.vldpPages, DhbEntry());
     for (auto &table : dpt_)
@@ -74,9 +68,9 @@ HwPrefetchEngine::observeDemand(Addr pc, Addr addr)
 {
     minAddr_ = std::min(minAddr_, addr);
     maxAddr_ = std::max(maxAddr_, addr);
-    if (tuning_.strideOn)
+    if (config_.stride)
         trainStride(pc, addr);
-    if (tuning_.vldpOn)
+    if (config_.vldp)
         trainVldp(addr);
 }
 
@@ -134,7 +128,7 @@ HwPrefetchEngine::trainStride(Addr pc, Addr addr)
     e.lastAddr = addr;
 
     if (e.state == StrideState::Steady && e.stride != 0) {
-        for (std::uint32_t k = 1; k <= tuning_.strideDegree; ++k) {
+        for (std::uint32_t k = 1; k <= config_.strideDegree; ++k) {
             Addr target = static_cast<Addr>(
                 static_cast<std::int64_t>(addr) +
                 e.stride * static_cast<std::int64_t>(k));
@@ -234,7 +228,7 @@ HwPrefetchEngine::trainVldp(Addr addr)
     std::array<std::int16_t, 4> h = d.deltas;
     std::uint32_t hlen = std::min<std::uint32_t>(d.numDeltas, 3);
     std::int64_t pred_line = line;
-    for (std::uint32_t depth = 0; depth < tuning_.vldpDegree; ++depth) {
+    for (std::uint32_t depth = 0; depth < config_.vldpDegree; ++depth) {
         bool found = false;
         std::int16_t pd = 0;
         for (std::uint32_t len = hlen; len >= 1; --len) {
@@ -271,7 +265,7 @@ HwPrefetchEngine::observeLoadedValue(Addr pc, Addr ea,
                                      std::uint32_t latency)
 {
     (void)pc;
-    if (!tuning_.pointerOn || latency < config_.pointerTriggerLatency)
+    if (!config_.pointer || latency < config_.pointerTriggerLatency)
         return;
     // Plausibility: 8-byte aligned, inside the envelope of observed
     // demand addresses, and not the line we just loaded from.
@@ -282,7 +276,7 @@ HwPrefetchEngine::observeLoadedValue(Addr pc, Addr ea,
     if ((value >> lineShift_) == (ea >> lineShift_))
         return;
     ++stats_.pointer.trained;
-    for (std::uint32_t k = 0; k < tuning_.pointerDegree; ++k) {
+    for (std::uint32_t k = 0; k < config_.pointerDegree; ++k) {
         emitCandidate(static_cast<Addr>(value) +
                           static_cast<Addr>(k) * lineBytes_,
                       Source::Pointer);

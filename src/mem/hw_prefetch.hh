@@ -28,9 +28,10 @@
  * takes one demand miss per new line, which keeps the trainers fed even
  * when the prefetchers are fully covering the stream.
  *
- * Per-prefetcher issue/drop/useless counters drive the runtime-adaptive
- * controller (runtime/hwpf_controller.hh), which retunes prefetcher
- * choice and degree per detected phase, POWER7-style.
+ * The configuration is static: each prefetcher runs at its configured
+ * on/off state and degree for the whole run.  Per-prefetcher
+ * issue/drop/useless counters are exported, and the guardrails count
+ * hardware drops into the shared-bus drop rate (DESIGN.md §13).
  *
  * Everything is behind HierarchyConfig::hwPrefetch.enabled: off (the
  * default) constructs no engine and adds one null check on the demand
@@ -55,21 +56,15 @@ struct HwPrefetchConfig
     /** Master switch: off constructs no engine (bit-identical). */
     bool enabled = false;
 
-    // Which prefetchers participate (initial state; the adaptive
-    // controller may disable/re-enable them per phase at runtime).
+    // Which prefetchers participate.
     bool stride = true;
     bool vldp = true;
     bool pointer = true;
 
-    /** Initial prefetch degrees (lines ahead per trigger). */
+    /** Prefetch degrees (lines ahead per trigger). */
     std::uint32_t strideDegree = 2;
     std::uint32_t vldpDegree = 2;
     std::uint32_t pointerDegree = 1;
-    /** Ceiling the adaptive controller may grow any degree to. */
-    std::uint32_t maxDegree = 4;
-
-    /** Let the harness attach the runtime-adaptive controller. */
-    bool adaptive = true;
 
     /** Reference-prediction-table entries (power of two). */
     std::uint32_t strideTableEntries = 64;
@@ -100,23 +95,6 @@ struct HwPrefetchConfig
 struct HwPrefetcherStats
 {
     ADORE_STAT_FIELDS(HwPrefetcherStats, ADORE_HW_PREFETCHER_STATS)
-
-    double
-    dropRate() const
-    {
-        std::uint64_t events = issued + dropped;
-        return events ? static_cast<double>(dropped) /
-                            static_cast<double>(events)
-                      : 0.0;
-    }
-
-    double
-    uselessRate() const
-    {
-        return issued ? static_cast<double>(useless) /
-                            static_cast<double>(issued)
-                      : 0.0;
-    }
 };
 
 struct HwPrefetchStats
@@ -164,17 +142,6 @@ class HwPrefetchEngine
         Source source = Source::Stride;
     };
 
-    /** Runtime tuning state the adaptive controller drives. */
-    struct Tuning
-    {
-        bool strideOn = true;
-        bool vldpOn = true;
-        bool pointerOn = true;
-        std::uint32_t strideDegree = 2;
-        std::uint32_t vldpDegree = 2;
-        std::uint32_t pointerDegree = 1;
-    };
-
     HwPrefetchEngine(const HwPrefetchConfig &config,
                      std::uint32_t line_bytes);
 
@@ -213,9 +180,6 @@ class HwPrefetchEngine
 
     /** Drop all learned table state (between experiment runs). */
     void resetState();
-
-    const Tuning &tuning() const { return tuning_; }
-    void setTuning(const Tuning &t) { tuning_ = t; }
 
     const HwPrefetchConfig &config() const { return config_; }
 
@@ -273,7 +237,6 @@ class HwPrefetchEngine
     DptEntry &dptSlot(std::uint32_t len, std::uint64_t key);
 
     HwPrefetchConfig config_;
-    Tuning tuning_;
     HwPrefetchStats stats_;
     std::uint32_t lineShift_;
     std::uint32_t lineBytes_;
@@ -290,7 +253,7 @@ class HwPrefetchEngine
 
     /** Recently-emitted candidate lines, direct-mapped: stops a steady
      *  stream from re-predicting the same line every trigger, which
-     *  would inflate the "useless" rate the controller tunes on. */
+     *  would inflate the "useless" rate. */
     std::array<Addr, 256> recentLines_;
 
     static constexpr std::size_t kMaxCandidates = 16;

@@ -71,10 +71,6 @@ struct KindNameVisitor
     {
         return "FaultInjected";
     }
-    const char *operator()(const HwPrefetchRetuneEvent &) const
-    {
-        return "HwPrefetchRetune";
-    }
 };
 
 struct LineVisitor
@@ -153,11 +149,6 @@ struct LineVisitor
     {
         return fmt("fault injected (%s): arg=0x%" PRIx64, e.channel,
                    e.arg);
-    }
-    std::string operator()(const HwPrefetchRetuneEvent &e) const
-    {
-        return fmt("hwpf %s: %s degree=%" PRIu64, e.action, e.prefetcher,
-                   e.degree);
     }
 };
 

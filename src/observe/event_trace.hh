@@ -150,20 +150,12 @@ struct FaultInjectedEvent
     std::uint64_t arg = 0;  ///< channel-specific detail (addr/cycles/...)
 };
 
-/** The adaptive hw-prefetch controller retuned a prefetcher. */
-struct HwPrefetchRetuneEvent
-{
-    const char *action = "";      ///< "phase-retune" | "degree-up" | ...
-    const char *prefetcher = "";  ///< "stride" | "vldp" | "pointer" | "all"
-    std::uint64_t degree = 0;     ///< degree after the action (0 = off)
-};
-
 using EventPayload =
     std::variant<SamplingBatchEvent, PhaseChangeEvent, StablePhaseEvent,
                  PhaseSkippedEvent, TraceSelectedEvent, SliceClassifiedEvent,
                  DelinquentLoadEvent, PrefetchInsertedEvent,
                  TracePatchedEvent, TraceRevertedEvent, GuardrailEvent,
-                 FaultInjectedEvent, HwPrefetchRetuneEvent>;
+                 FaultInjectedEvent>;
 
 struct Event
 {

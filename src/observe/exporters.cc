@@ -108,12 +108,6 @@ struct ArgsVisitor
         return std::string("{\"channel\": \"") + e.channel +
                "\", \"arg\": " + hexAddr(e.arg) + "}";
     }
-    std::string operator()(const HwPrefetchRetuneEvent &e) const
-    {
-        return std::string("{\"action\": \"") + e.action +
-               "\", \"prefetcher\": \"" + e.prefetcher +
-               fmt("\", \"degree\": %" PRIu64 "}", e.degree);
-    }
 };
 
 } // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "isa/builder.hh"
-#include "runtime/hwpf_controller.hh"
 #include "runtime/slicer.hh"
 #include "support/logging.hh"
 
@@ -117,8 +116,6 @@ AdoreRuntime::consumeWindows(Cycle now)
             ++stats_.phaseChanges;
             if (guardrails_)
                 guardrails_->notePhaseChange();
-            if (config_.hwpfController)
-                config_.hwpfController->notePhaseChange();
             break;
           case PhaseDetector::Event::StablePhase: {
             ++stats_.phasesDetected;

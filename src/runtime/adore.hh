@@ -40,8 +40,6 @@
 namespace adore
 {
 
-class HwPrefetchController;
-
 struct AdoreConfig
 {
     SamplerConfig sampler{};
@@ -95,14 +93,6 @@ struct AdoreConfig
      * trace so the decision lines still reach the log.
      */
     observe::EventTrace *events = nullptr;
-    /**
-     * Adaptive hardware-prefetch controller (not owned; may be null).
-     * When set, the runtime forwards phase-change notifications so the
-     * controller can retune per phase, and the guardrails fold the hw
-     * prefetchers' issue/drop deltas into the shared-bus throttle
-     * arbitration.  The harness owns the controller and its poll hook.
-     */
-    HwPrefetchController *hwpfController = nullptr;
     /**
      * Deterministic watchdog deadline in virtual cycles: an injected
      * optimizer stall (FaultConfig::optimizerStallRate) longer than

@@ -44,36 +44,14 @@ Guardrails::noteMemPressure(std::uint64_t issued_delta,
     if (events < config_.prefetchMinEvents)
         return;  // too few prefetch events to trust the rate
     // Hardware and software prefetch share the bus and queue depth, so
-    // the throttle decision runs on the combined drop rate.  With zero
-    // hw deltas this is exactly the pre-hwpf rate.
+    // the throttle decision runs on the combined drop rate: hardware
+    // drops move the software throttle.  With zero hw deltas this is
+    // the software-only rate.
     double rate = static_cast<double>(dropped_delta + hw_dropped_delta) /
                   static_cast<double>(events);
     if (rate < config_.prefetchDampDropRate)
         return;  // calm poll
     memCalmThisPoll_ = false;
-
-    // Arbitration: hardware yields first.  ADORE's lfetches carry the
-    // optimizer's phase knowledge, so when the two fight over the bus
-    // the speculative hardware stream backs off one rung per pressured
-    // poll before the software machine is allowed to move at all.
-    Throttle hw = hwThrottle();
-    if (hw_issued_delta + hw_dropped_delta > 0 &&
-        hw != Throttle::Disabled) {
-        Throttle next = hw == Throttle::Normal ? Throttle::Damped
-                                               : Throttle::Disabled;
-        hwThrottle_ = next;
-        hwCalmPolls_ = 0;
-        if (next == Throttle::Damped) {
-            ++stats_.hwPrefetchDamped;
-            emit("hwpf-damped", 0,
-                 static_cast<std::uint64_t>(rate * 100.0));
-        } else {
-            ++stats_.hwPrefetchDisabled;
-            emit("hwpf-disabled", 0,
-                 static_cast<std::uint64_t>(rate * 100.0));
-        }
-        return;
-    }
 
     if (rate >= config_.prefetchDisableDropRate) {
         if (throttle_ != Throttle::Disabled) {
@@ -221,29 +199,6 @@ Guardrails::endPoll()
             }
         } else {
             throttleCalmPolls_ = 0;
-        }
-    }
-
-    // --- hardware-prefetch throttle recovery (hardware recovers LAST:
-    // only once the software throttle is back to Normal do calm polls
-    // start stepping the hw rung up, so a recovering bus is handed back
-    // to ADORE's lfetches before the speculative hw stream returns) ---
-    Throttle hw = hwThrottle();
-    if (hw != Throttle::Normal) {
-        if (memCalmThisPoll_ && throttle_ == Throttle::Normal) {
-            ++hwCalmPolls_;
-            if (hwCalmPolls_ >= config_.throttleRecoverPolls) {
-                Throttle next = hw == Throttle::Disabled
-                                    ? Throttle::Damped
-                                    : Throttle::Normal;
-                hwThrottle_ = next;
-                ++stats_.hwPrefetchRestored;
-                hwCalmPolls_ = 0;
-                emit("hwpf-restored", 0,
-                     next == Throttle::Normal ? 0 : 1);
-            }
-        } else {
-            hwCalmPolls_ = 0;
         }
     }
 }

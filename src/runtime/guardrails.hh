@@ -96,8 +96,7 @@ struct GuardrailConfig
 };
 
 /** GuardrailStats fields, X(type, member, metric, description, class)
- *  (support/stat_fields.hh); exported as "guardrail.<metric>", the
- *  "hwpf_" rung only when the hw-prefetch engine exists. */
+ *  (support/stat_fields.hh); exported as "guardrail.<metric>". */
 #define ADORE_GUARDRAIL_STATS(X)                                       \
     X(std::uint64_t, stagedReverts, "staged_reverts",                  \
       "single-trace reverts (stage 1)", Sim)                           \
@@ -117,12 +116,6 @@ struct GuardrailConfig
       "prefetch throttle transitions to disabled", Sim)                \
     X(std::uint64_t, prefetchRestored, "prefetch_restored",            \
       "prefetch throttle step-downs after calm", Sim)                  \
-    X(std::uint64_t, hwPrefetchDamped, "hwpf_damped",                  \
-      "hw-prefetch throttle rung steps to damped", Sim)                \
-    X(std::uint64_t, hwPrefetchDisabled, "hwpf_disabled",              \
-      "hw-prefetch throttle rung steps to disabled", Sim)              \
-    X(std::uint64_t, hwPrefetchRestored, "hwpf_restored",              \
-      "hw-prefetch throttle rung recoveries", Sim)                     \
     X(std::uint64_t, poolExhaustedRejects, "pool_exhausted_rejects",   \
       "trace commits refused by pool exhaustion", Sim)                 \
     X(std::uint64_t, patchFailures, "patch_failures",                  \
@@ -166,13 +159,10 @@ class Guardrails
     /**
      * Prefetch issue/drop deltas observed since the previous poll —
      * software (lfetch) and, when the hardware-prefetcher zoo is on,
-     * hardware.  The throttle decision runs on the *combined* drop rate
-     * (both share the bus and prefetchQueueDepth), with a fixed
-     * arbitration order: hardware yields first.  While hw prefetch is
-     * active and not yet Disabled, a pressured poll steps the hw rung
-     * down one notch and leaves the software machine untouched; only
-     * once hw is out of the way do the software transitions run.  With
-     * zero hw deltas the behavior is exactly the pre-hwpf machine.
+     * hardware.  The throttle decision runs on the *combined* drop rate:
+     * both share the bus and prefetchQueueDepth, so hardware drops move
+     * the software throttle.  The hardware configuration itself is
+     * static.
      */
     void noteMemPressure(std::uint64_t issued_delta,
                          std::uint64_t dropped_delta,
@@ -214,10 +204,6 @@ class Guardrails
 
     Throttle throttle() const { return throttle_; }
 
-    /** Hardware-prefetch throttle rung the arbitration currently
-     *  imposes (read by the hw-prefetch controller each poll). */
-    Throttle hwThrottle() const { return hwThrottle_; }
-
     const GuardrailStats &stats() const { return stats_; }
     const GuardrailConfig &config() const { return config_; }
     std::uint64_t pollIndex() const { return pollIndex_; }
@@ -247,12 +233,6 @@ class Guardrails
     Throttle throttle_ = Throttle::Normal;
     bool memCalmThisPoll_ = true;
     std::uint32_t throttleCalmPolls_ = 0;
-
-    // Hardware-prefetch throttle (the "hardware yields first" rung).
-    // Recovery is last: hw steps back up only on calm polls while the
-    // software throttle is already back to Normal.
-    Throttle hwThrottle_ = Throttle::Normal;
-    std::uint32_t hwCalmPolls_ = 0;
 };
 
 /** Stable name for a throttle state ("normal" | "damped" | "disabled"). */

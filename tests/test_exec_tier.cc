@@ -9,7 +9,7 @@
  *
  * Region-keyed invalidation and chaining: direct unit tests of the
  * SuperblockCache chain graph (link / unlink-on-invalidate /
- * unlink-on-replace), its 4-way LRU sets, and the promotion oracle
+ * unlink-on-replace), its 8-way LRU sets, and the promotion oracle
  * (demote self-heal, churn blacklist), plus a chaos-schedule test
  * proving a patch to region A never executes a stale uop from A and
  * never invalidates a block in untouched region B.
@@ -574,7 +574,7 @@ TEST(ExecTier, ChainUnlinkWhenTargetIsReplaced)
     cache.insert(std::move(b_up));
     cache.link(a, b->head, b);
 
-    // Fill b's set (bundles 66, 2, 10, 18, 26 all map to set 2 of 8)
+    // Fill b's set (bundles 66, 2, 10, 18, ... all map to set 2 of 8)
     // with `ways` more heads: the last insert finds no free way and
     // evicts the least recently used one, b.  a's link must be nulled.
     for (std::size_t i = 0; i < SuperblockCache::ways; ++i)
@@ -614,19 +614,47 @@ TEST(ExecTier, LruEvictsLeastRecentlyLookedUpWay)
         return kText + static_cast<Addr>(idx) * isa::bundleBytes;
     };
 
-    for (int idx : {1, 9, 17, 25})
-        cache.insert(mkBlock(code, idx));
+    // Bundles 1, 9, 17, ... all map to set 1 of 8: fill every way.
+    const int ways = static_cast<int>(SuperblockCache::ways);
+    for (int i = 0; i < ways; ++i)
+        cache.insert(mkBlock(code, 1 + 8 * i));
     // Look up every way but 17's: 17 becomes the LRU way even though
     // 1 was inserted first.  probe() must not count as a use.
-    for (int idx : {1, 9, 25})
-        ASSERT_NE(cache.lookup(headOf(idx), code), nullptr);
+    for (int i = 0; i < ways; ++i) {
+        if (i == 2)
+            continue;
+        ASSERT_NE(cache.lookup(headOf(1 + 8 * i), code), nullptr);
+    }
     ASSERT_NE(cache.probe(headOf(17), code), nullptr);
 
-    cache.insert(mkBlock(code, 33));
+    cache.insert(mkBlock(code, 1 + 8 * ways));
     EXPECT_EQ(cache.stats().replaced, 1u);
     EXPECT_EQ(cache.probe(headOf(17), code), nullptr);
-    for (int idx : {1, 9, 25, 33})
-        EXPECT_NE(cache.probe(headOf(idx), code), nullptr) << idx;
+    for (int i = 0; i <= ways; ++i) {
+        if (i == 2)
+            continue;
+        EXPECT_NE(cache.probe(headOf(1 + 8 * i), code), nullptr) << i;
+    }
+}
+
+TEST(ExecTier, FiveHeadsCyclingThroughOneSetEvictNothing)
+{
+    // gcc's shape: five hot heads share one set and are looked up in
+    // turn, each built on its first miss.  Under LRU, fewer ways than
+    // heads would evict on every lookup.
+    CodeImage code;
+    commitNopText(code, 70);
+    SuperblockCache cache(8, 0);
+    for (int round = 0; round < 4; ++round) {
+        for (int i = 0; i < 5; ++i) {
+            int idx = 1 + 8 * i;
+            Addr head = kText + static_cast<Addr>(idx) * isa::bundleBytes;
+            if (!cache.lookup(head, code))
+                cache.insert(mkBlock(code, idx));
+        }
+    }
+    EXPECT_EQ(cache.stats().built, 5u);
+    EXPECT_EQ(cache.stats().replaced, 0u);
 }
 
 TEST(ExecTier, OracleDemoteUnlinksBlacklistsAndSelfHeals)

@@ -153,9 +153,10 @@ percentCell(std::string cell)
 
 /**
  * The paper's qualitative results as predicates over the committed
- * fig07a and table2 blocks, so a fidelity regression fails here rather
- * than as drifted digits.  gcc is not asserted to be the only loser:
- * gap and gzip are also slightly negative, within the paper's ≈0.
+ * fig07a, table2 and hwpf_study blocks, so a fidelity regression fails
+ * here rather than as drifted digits.  gcc is not asserted to be the
+ * only loser: gap and gzip are also slightly negative, within the
+ * paper's ≈0.
  */
 TEST(FigureCatalogue, CommittedBlocksKeepThePapersShape)
 {
@@ -185,6 +186,21 @@ TEST(FigureCatalogue, CommittedBlocksKeepThePapersShape)
     EXPECT_EQ(mcf.at(3), "0") << "mcf indirect prefetches";
     EXPECT_GT(std::stoi(mcf.at(4)), 0) << "mcf pointer-chasing prefetches";
     EXPECT_EQ(table2["gzip"].at(5), "0") << "gzip phases optimized";
+
+    // hwpf_study columns: benchmark, ADORE, static O3, hardware,
+    // hw+ADORE, hw issued, hw useless.  Its ADORE arm is fig07a's run.
+    auto hwpf = blockRows(text, "hwpf_study");
+    ASSERT_EQ(hwpf.size(), fig07a.size());
+    for (const auto &[name, cells] : fig07a)
+        EXPECT_EQ(percentCell(hwpf[name].at(1)), percentCell(cells.at(2)))
+            << name << ": hwpf_study ADORE vs fig07a measured";
+    // Hardware and ADORE are complementary where ADORE wins most.
+    for (const char *name : {"mcf", "art", "equake"}) {
+        const std::vector<std::string> &row = hwpf[name];
+        for (int arm = 1; arm <= 3; ++arm)
+            EXPECT_GT(percentCell(row.at(4)), percentCell(row.at(arm)))
+                << name << ": hw+ADORE must beat column " << arm;
+    }
 }
 
 /** regenerateExperiments(@p doc) must throw, naming @p tag. */

@@ -200,6 +200,30 @@ TEST(Guardrails, ThrottleDampsDisablesAndRecovers)
     EXPECT_EQ(g.stats().prefetchRestored, 2u);
 }
 
+TEST(Guardrails, HardwareDropsMoveTheSoftwareThrottleOnTheFirstPoll)
+{
+    // Hardware and software prefetch share one bus, so hardware-only
+    // drops count in the same rate and move the software throttle on
+    // the first pressured poll.
+    GuardrailConfig cfg = enabledConfig();
+    cfg.prefetchDampDropRate = 0.25;
+    cfg.prefetchDisableDropRate = 0.50;
+    cfg.prefetchMinEvents = 4;
+    Guardrails g(cfg);
+
+    g.beginPoll();
+    g.noteMemPressure(0, 0, 7, 3);  // hardware only, 30% dropped
+    g.endPoll();
+    EXPECT_EQ(g.throttle(), Guardrails::Throttle::Damped);
+    EXPECT_EQ(g.stats().prefetchDamped, 1u);
+
+    g.beginPoll();
+    g.noteMemPressure(2, 0, 1, 7);  // mixed, 70% dropped
+    g.endPoll();
+    EXPECT_EQ(g.throttle(), Guardrails::Throttle::Disabled);
+    EXPECT_EQ(g.stats().prefetchDisabled, 1u);
+}
+
 // ---------------------------------------------------------------------
 // Capacity-bounded trace pool
 // ---------------------------------------------------------------------

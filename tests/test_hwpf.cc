@@ -1,8 +1,7 @@
 /**
  * @file
  * Hardware-prefetcher zoo tests (DESIGN.md §13): the stride FSM, VLDP
- * delta-history matching, pointer-chase triggering, the runtime-adaptive
- * controller's decision table and phase-change retune, and the master
+ * delta-history matching, pointer-chase triggering, and the master
  * toggle's bit-identity guarantee (hwPrefetch.enabled=false must be
  * byte-identical to a build that never heard of hardware prefetching,
  * whatever the other zoo knobs say).
@@ -16,7 +15,6 @@
 #include "harness/experiment.hh"
 #include "mem/hierarchy.hh"
 #include "mem/hw_prefetch.hh"
-#include "runtime/hwpf_controller.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -208,100 +206,6 @@ TEST(HwpfPointer, DelinquentLoadValueChased)
 }
 
 // --------------------------------------------------------------------
-// Runtime-adaptive controller
-// --------------------------------------------------------------------
-
-TEST(HwpfController, PhaseChangeResetsTuningToConfig)
-{
-    HierarchyConfig hcfg;
-    hcfg.hwPrefetch.enabled = true;
-    CacheHierarchy caches(hcfg);
-    HwPrefetchEngine *eng = caches.hwPrefetch();
-    ASSERT_NE(eng, nullptr);
-
-    HwPrefetchController ctl(caches);
-    using Source = HwPrefetchEngine::Source;
-
-    // In-phase drift via the decision table: two saturated-drop polls
-    // walk the stride prefetcher from degree 2 to off.
-    for (int i = 0; i < 32; ++i)
-        eng->noteDropped(Source::Stride);
-    ctl.poll(64'000);
-    for (int i = 0; i < 32; ++i)
-        eng->noteDropped(Source::Stride);
-    ctl.poll(128'000);
-    EXPECT_EQ(ctl.stats().phaseRetunes, 0u);
-    EXPECT_FALSE(eng->tuning().strideOn);
-
-    ctl.notePhaseChange();
-    ctl.poll(192'000);  // new phase: fresh audition for everyone
-    EXPECT_EQ(ctl.stats().phaseRetunes, 1u);
-    EXPECT_TRUE(eng->tuning().strideOn);
-    EXPECT_EQ(eng->tuning().strideDegree,
-              hcfg.hwPrefetch.strideDegree);
-    EXPECT_EQ(ctl.stats().polls, 3u);
-}
-
-TEST(HwpfController, DropRateWalksDegreeDownThenDisables)
-{
-    HierarchyConfig hcfg;
-    hcfg.hwPrefetch.enabled = true;
-    CacheHierarchy caches(hcfg);
-    HwPrefetchEngine *eng = caches.hwPrefetch();
-    ASSERT_NE(eng, nullptr);
-
-    HwPrefetchController ctl(caches);
-    using Source = HwPrefetchEngine::Source;
-
-    // Poll 1: every stride candidate this window was throttled.  Drop
-    // rate 1.0 at degree 2 costs one degree step.
-    for (int i = 0; i < 32; ++i)
-        eng->noteDropped(Source::Stride);
-    ctl.poll(64'000);
-    EXPECT_EQ(ctl.stats().degreeDowns, 1u);
-    EXPECT_EQ(eng->tuning().strideDegree, 1u);
-    EXPECT_TRUE(eng->tuning().strideOn);
-
-    // Poll 2: still saturating at degree 1 -> turned off entirely.
-    for (int i = 0; i < 32; ++i)
-        eng->noteDropped(Source::Stride);
-    ctl.poll(128'000);
-    EXPECT_EQ(ctl.stats().prefetcherDisables, 1u);
-    EXPECT_FALSE(eng->tuning().strideOn);
-
-    // The other prefetchers had no events and were left alone.
-    EXPECT_TRUE(eng->tuning().vldpOn);
-    EXPECT_TRUE(eng->tuning().pointerOn);
-}
-
-TEST(HwpfController, AccurateLowPressurePrefetcherGrows)
-{
-    HierarchyConfig hcfg;
-    hcfg.hwPrefetch.enabled = true;
-    CacheHierarchy caches(hcfg);
-    HwPrefetchEngine *eng = caches.hwPrefetch();
-    ASSERT_NE(eng, nullptr);
-
-    HwPrefetchController ctl(caches);
-    using Source = HwPrefetchEngine::Source;
-
-    for (int i = 0; i < 32; ++i)
-        eng->noteIssued(Source::Vldp);
-    ctl.poll(64'000);
-    EXPECT_EQ(ctl.stats().degreeUps, 1u);
-    EXPECT_EQ(eng->tuning().vldpDegree,
-              hcfg.hwPrefetch.vldpDegree + 1);
-
-    // Growth is capped at maxDegree.
-    for (std::uint32_t p = 0; p < hcfg.hwPrefetch.maxDegree; ++p) {
-        for (int i = 0; i < 32; ++i)
-            eng->noteIssued(Source::Vldp);
-        ctl.poll(64'000 * (p + 2));
-    }
-    EXPECT_EQ(eng->tuning().vldpDegree, hcfg.hwPrefetch.maxDegree);
-}
-
-// --------------------------------------------------------------------
 // End-to-end: the zoo issues prefetches, and off is bit-identical
 // --------------------------------------------------------------------
 
@@ -327,9 +231,6 @@ TEST(HwpfEndToEnd, EnabledEngineIssuesThroughSharedBus)
     EXPECT_TRUE(m.hwPrefetchUsed);
     EXPECT_GT(m.hwpfStats.stride.trained, 0u);
     EXPECT_GT(m.hwpfStats.issued(), 0u);
-    // The controller rode along (adaptive defaults on) and polled.
-    EXPECT_TRUE(m.hwpfControllerUsed);
-    EXPECT_GT(m.hwpfControllerStats.polls, 0u);
     // Issued hardware prefetches land as L2/L3 prefetch fills.
     EXPECT_GT(m.l2Stats.prefetchFills + m.l3Stats.prefetchFills, 0u);
 }
@@ -359,7 +260,6 @@ TEST_P(HwpfToggle, DisabledZooIsByteIdentical)
     z.strideDegree = 7;
     z.vldpPages = 8;
     z.pointerTriggerLatency = 1;
-    z.adaptive = false;
 
     RunMetrics a = Experiment::run(prog, plain);
     RunMetrics b = Experiment::run(prog, perturbed);

@@ -50,8 +50,7 @@ struct Variant
     Toggle toggle;
     bool adore = false;
     bool chaos = false;  ///< full fault schedule + guardrails
-    bool hwpf = false;   ///< hardware-prefetcher zoo, adaptive
-    bool fusion = true;  ///< CpuConfig::superblockFusion
+    bool hwpf = false;   ///< hardware-prefetcher zoo, static defaults
 };
 
 const Variant kVariants[] = {
@@ -59,8 +58,6 @@ const Variant kVariants[] = {
     {"TierToggle", "AdoreSyncBitIdentical", Toggle::Tier, true},
     {"TierToggle", "AdoreSyncBitIdenticalUnderChaos", Toggle::Tier, true,
      true},
-    {"TierToggle", "AdoreSyncFusionOffBitIdentical", Toggle::Tier, true,
-     false, false, false},
     {"TierToggle", "HwpfNoAdoreBitIdentical", Toggle::Tier, false, false,
      true},
     {"TierToggle", "HwpfAdoreBitIdenticalUnderChaos", Toggle::Tier, true,
@@ -84,7 +81,6 @@ configFor(const Variant &v, bool flipped)
 {
     RunConfig cfg;
     cfg.compile = restrictedOptions(OptLevel::O2);
-    cfg.machine.cpu.superblockFusion = v.fusion;
     cfg.machine.hier.hwPrefetch.enabled = v.hwpf;
     // Long enough for ADORE to sample, optimize, and run in-pool code
     // on every workload; short enough to keep the sweep fast.
@@ -122,7 +118,7 @@ runWith(const hir::Program &prog, RunConfig cfg)
 {
     observe::EventTrace trace(16384);
     trace.enable();
-    cfg.adoreConfig.events = &trace;  // also the hwpf controller's sink
+    cfg.adoreConfig.events = &trace;
 
     ToggleRun out;
     out.metrics = Experiment::run(prog, cfg);
@@ -221,7 +217,7 @@ TEST(DiffIdentity, ReportsExactlyTheBumpedSimField)
     const RunMetrics real =
         runWith(workloads::make("mcf"), configFor(every, true)).metrics;
     ASSERT_TRUE(real.adoreUsed && real.guardrailsUsed && real.faultsUsed &&
-                real.hwPrefetchUsed && real.hwpfControllerUsed);
+                real.hwPrefetchUsed);
 
     int sim = 0, host = 0;
     invariants::forEachStatBlock([&](const char *block, auto get,
