@@ -231,6 +231,48 @@ TEST(RunManyChecked, IsolatesThrowingJobFromBatchMates)
     EXPECT_EQ(out[0].metrics.cycles, out[2].metrics.cycles);
 }
 
+TEST(RunManyChecked, DataBudgetKeepsLargeSpecsApartAndLetsSmallOnesPass)
+{
+    // Two swim runs exceed the in-flight data budget together, so the
+    // second waits for the first while gzip, queued behind it, starts.
+    hir::Program swim = workloads::make("swim");
+    hir::Program gzip = workloads::make("gzip");
+    ASSERT_GT(2 * Experiment::dataBytes(swim),
+              Experiment::inFlightDataBytes);
+    ASSERT_LE(Experiment::dataBytes(swim) + Experiment::dataBytes(gzip),
+              Experiment::inFlightDataBytes);
+
+    std::atomic<bool> secondSwimStarted{false};
+    std::atomic<bool> gzipStarted{false};
+    bool gzipRanBesideFirstSwim = false;
+    bool swimsOverlapped = true;
+    RunConfig cfg;
+    cfg.compile.level = OptLevel::O2;
+    cfg.maxCycles = 10'000;
+    cfg.quietCycleLimit = true;
+    RunConfig first = cfg, second = cfg, small = cfg;
+    first.testFailpoint = [&] {
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!gzipStarted.load() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        gzipRanBesideFirstSwim = gzipStarted.load();
+        swimsOverlapped = secondSwimStarted.load();
+    };
+    second.testFailpoint = [&] { secondSwimStarted.store(true); };
+    small.testFailpoint = [&] { gzipStarted.store(true); };
+
+    std::vector<RunSpec> specs = {
+        {&swim, first}, {&swim, second}, {&gzip, small}};
+    std::vector<RunOutcome> out = Experiment::runManyChecked(specs, 2);
+    for (const RunOutcome &o : out)
+        EXPECT_TRUE(o.ok) << o.error;
+    EXPECT_TRUE(gzipRanBesideFirstSwim);
+    EXPECT_FALSE(swimsOverlapped);
+    EXPECT_TRUE(secondSwimStarted.load());
+}
+
 TEST(RunManyChecked, NullProgramIsAStructuredFailure)
 {
     std::vector<RunSpec> specs(1);
