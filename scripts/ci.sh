@@ -5,7 +5,12 @@
 # arrays and the Cpu-side line buffers must never read stale or
 # out-of-bounds host memory, and the sanitizers catch that class of bug
 # where the bit-identity tests cannot (a wild read that happens to
-# return the right answer).
+# return the right answer).  Its one full ctest pass also runs every
+# other raw-pointer and raw-index shard under the instrumentation: the
+# superblock chain graph (a missed unlink is a use-after-free), the
+# hw-prefetcher tables, deferred page fills, the generator's and
+# shrinker's index remaps, and the JSON parser, result cache and daemon
+# buffers fed untrusted or corruption-injected input.
 #
 # A TSan build then runs the program's real concurrency: the thread
 # pool that fans out runs and the adored daemon's workers, monitor and
@@ -15,38 +20,31 @@
 #
 # Exec-tier coverage (DESIGN.md §12): the direct-threaded superblock
 # tier is the default, so every stage above already exercises it — the
-# full ctest sweep includes the TierToggle/ExecTier bit-identity suite
-# (and the ASan pass re-runs it with the executor's raw uop-array and
-# scoreboard indexing instrumented), and the chaos smoke runs with the
-# tier on.  The tier's performance gate is deterministic and lives in
-# that sweep: every TierToggle case bounds its direct-tier run's block
-# builds and evictions and requires block dispatches, so a block cache
-# that thrashes or a tier that never forms blocks fails ctest on any
-# host.  No CI step times the host.  Additions that keep both tiers
-# honest: an interpreter-tier chaos smoke so the legacy dispatch path
-# cannot rot unexercised, and an explicit ASan re-run of the region-keyed
-# chaining/invalidation surface (ExecTier + TierToggle) since stale
-# chain links are exactly the use-after-free shape ASan exists to
-# catch.
+# full ctest sweep, under ASan too, includes the TierToggle/ExecTier
+# bit-identity suite, and the chaos smoke runs with the tier on.  The
+# tier's performance gate is deterministic and lives in that sweep:
+# every TierToggle case bounds its direct-tier run's block builds and
+# evictions and requires block dispatches, and the plain Tier variants
+# hold dispatches, chains and loop trips to committed per-workload
+# bands, so a block cache that thrashes, a lost chain or a tier that
+# never forms blocks fails ctest on any host.  No CI step times the
+# host.  An interpreter-tier chaos smoke keeps the legacy dispatch path
+# from rotting unexercised.
 #
 # Demand-paged data segment (DESIGN.md §8): seeded arrays reach memory
 # as deferred per-page fills that hold RNG snapshots and write raw page
 # bytes on a page's first touch; the ctest sweep pins their byte
-# identity (DataSegment.*) and how many pages exist (DataMaterialisation),
-# and the ASan pass re-runs the MainMemory/DataSegment shard.
+# identity (DataSegment.*) and how many pages exist (DataMaterialisation).
 #
 # Hardware-prefetcher coverage (DESIGN.md §13): a --hwpf chaos smoke
 # soaks the static zoo and guardrailed ADORE on one shared bus under
-# the fault schedule, the ASan pass re-runs the Hwpf* shard with the
-# engine's raw-index tables instrumented, and the --regen-experiments
-# --check gate below also covers the generated hwpf_study block.
+# the fault schedule, and the --regen-experiments --check gate below
+# also covers the generated hwpf_study block.
 #
 # Serving coverage (DESIGN.md §15): a fixed-seed 500-job adored soak
 # with every service fault channel armed plus a mid-soak SIGTERM proves
 # zero lost jobs and a clean drain against a one-shot oracle, a stdin
-# protocol smoke covers the line-JSON surface, the ASan pass re-runs
-# the Json/ResultCache/ServiceFault/Prom/Serve shard (untrusted-input
-# parsing and cache splicing under instrumentation), and the TSan pass
+# protocol smoke covers the line-JSON surface, and the TSan pass
 # runs the ThreadPool/Serve shard plus a short fault soak so the
 # drain-vs-submit and monitor-cancel races stay under the detector.
 #
@@ -145,46 +143,6 @@ if [[ "${ADORE_CI_SKIP_SANITIZERS:-0}" != "1" ]]; then
     cmake --build "$SAN_DIR" -j "$(nproc)" --target adore_tests
     ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
         ctest --test-dir "$SAN_DIR" --output-on-failure
-
-    # Tier-pinned ASan pass over the region-keyed invalidation and
-    # chain unlink paths: the chain graph holds raw Superblock
-    # pointers, so a missed unlink is a use-after-free that only this
-    # instrumentation can prove absent (the bit-identity suite would
-    # happily read the stale memory).
-    ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
-        "$SAN_DIR"/tests/adore_tests \
-            --gtest_filter='ExecTier.*:*TierToggle*'
-
-    # Hardware-prefetcher shard under ASan: the zoo's tables (RPT, DHB,
-    # hashed DPTs) and the candidate ring are all raw-index structures
-    # on the demand-miss path, exactly the shape the instrumentation
-    # exists to check.
-    ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
-        "$SAN_DIR"/tests/adore_tests --gtest_filter='Hwpf*'
-
-    # Deferred-fill shard under ASan+UBSan: pending fills hold RNG
-    # snapshots and write raw page memory when the page is first built.
-    ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
-        "$SAN_DIR"/tests/adore_tests --gtest_filter='MainMemory*:DataSegment*'
-
-    # Generator/shrinker shard under ASan+UBSan: the generator walks
-    # index vectors it also rewrites (dropUnreachable's remaps) and the
-    # shrinker erases from containers mid-iteration candidates are
-    # built from — off-by-one index math here is exactly what the
-    # sanitizers exist to prove absent.
-    ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
-        "$SAN_DIR"/tests/adore_tests --gtest_filter='Generator*:Fuzz*'
-
-    # Serving shard under ASan+UBSan (DESIGN.md §15): the JSON parser
-    # walks raw byte offsets through untrusted input, the result cache
-    # splices list nodes held by raw iterators, and the daemon hands
-    # payload buffers across worker threads — all classic
-    # heap-overflow / use-after-free shapes.  The deliberate
-    # corruption-injection tests run here too, so the checksum path is
-    # proven memory-safe even while being fed mutated payloads.
-    ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
-        "$SAN_DIR"/tests/adore_tests \
-            --gtest_filter='Json*:ResultCache*:ServiceFault*:Prom*:Serve*'
 
     TSAN_DIR="${BUILD_DIR}-tsan"
     TSAN_FLAGS="-O1 -g -fsanitize=thread -fno-omit-frame-pointer"

@@ -49,14 +49,8 @@ Cpu::Cpu(CodeImage &code, CacheHierarchy &caches, MainMemory &memory,
       dear_(config.dearLatencyThreshold)
 {
     p_[0] = true;  // p0 is hardwired true
-    panic_if(config.bundleCacheEntries == 0 ||
-                 !std::has_single_bit(config.bundleCacheEntries),
-             "bundleCacheEntries must be a power of two, got %u",
-             config.bundleCacheEntries);
-    bundleCache_.resize(config.bundleCacheEntries);
-    bundleCacheMask_ = config.bundleCacheEntries - 1;
-    superblocks_ = std::make_unique<SuperblockCache>(
-        config.bundleCacheEntries, kSuperblockMaxInvalidations);
+    bundleCache_.resize(kBundleCacheEntries);
+    superblocks_ = std::make_unique<SuperblockCache>(kBundleCacheEntries);
 }
 
 Cpu::~Cpu() = default;
@@ -473,7 +467,7 @@ Cpu::step()
     // Decoded-bundle lookup through the direct-mapped cache, falling
     // back to the bounds-checked-once contiguous-span fetch.  The hit
     // counter doubles as the execution tier's hotness signal, and
-    // counts trace heads only: the superblockHotThreshold-th arrival at
+    // counts trace heads only: the kSuperblockHotThreshold-th arrival at
     // an address (at an unchanged region cache key) that did not fall
     // through from the previous bundle promotes it to a superblock.
     // Interior loop bundles get hot in the same iteration as their
@@ -482,12 +476,13 @@ Cpu::step()
     const bool trace_head = bundle_addr != seqNext_;
     std::uint64_t code_key = code_.cacheKey(bundle_addr);
     BundleCacheEntry &entry =
-        bundleCache_[(bundle_addr / isa::bundleBytes) & bundleCacheMask_];
+        bundleCache_[(bundle_addr / isa::bundleBytes) &
+                     (kBundleCacheEntries - 1)];
     const Bundle *bundle;
     if (bundle_addr == entry.addr && code_key == entry.key) {
         bundle = entry.bundle;
         if (trace_head &&
-            ++entry.hits == config_.superblockHotThreshold &&
+            ++entry.hits == kSuperblockHotThreshold &&
             execTierEnabled_) {
             buildSuperblockAt(bundle_addr);
         }
@@ -496,10 +491,6 @@ Cpu::step()
         panic_if(!bundle, "fetch outside image: 0x%llx",
                  static_cast<unsigned long long>(bundle_addr));
         entry = {bundle_addr, code_key, bundle, trace_head ? 1u : 0u};
-        if (trace_head && config_.superblockHotThreshold == 1 &&
-            execTierEnabled_) {
-            buildSuperblockAt(bundle_addr);
-        }
     }
 
     nextPc_ = bundle_addr + isa::bundleBytes;
@@ -537,34 +528,13 @@ Cpu::run(Cycle max_cycles)
         // (including hotness training and formation) goes through the
         // interpreter step.  step() stays exactly one bundle either
         // way, so direct step() drivers see pure interpreter behaviour.
-        //
-        // Oracle accounting: the retired-instruction delta across one
-        // execSuperblock call covers the whole chained excursion, so a
-        // cheap "glue" entry block that chains into heavy loops is
-        // valued by the work it leads to, not just its own bundles.
-        // The counters and the demotion verdict are host-side only.
         while (!halted_ && cycle_ < max_cycles &&
                !stopRequested_.load(std::memory_order_relaxed)) {
             Superblock *sb =
                 superblocks_->lookup(isa::bundleAddr(pc_), code_);
             if (sb) {
                 ++superblocks_->stats().dispatches;
-                std::uint64_t before = counters_.retiredInsns;
                 execSuperblock(sb, max_cycles);
-                // sb stayed alive through the call: blocks die only at
-                // lookup/insert/demote, and an in-flight entry block is
-                // never stale at a chain lookup (mutations force an
-                // event exit first).
-                sb->workRetired += counters_.retiredInsns - before;
-                if (++sb->windowDispatches >= kSuperblockDemoteWindow) {
-                    if (sb->workRetired < kSuperblockMinRetiredPerDispatch *
-                                              sb->windowDispatches) {
-                        superblocks_->demote(sb, code_);
-                    } else {
-                        sb->workRetired = 0;
-                        sb->windowDispatches = 0;
-                    }
-                }
                 seqNext_ = ~Addr{0};  // a block exit is a trace head
                 continue;
             }

@@ -71,26 +71,10 @@ struct CpuConfig
     std::uint32_t mispredictPenalty = 6;
     std::uint32_t fpOpLatency = 4;
     std::uint32_t dearLatencyThreshold = 8;
+    /** The tier's only knob.  Its sizing and promotion threshold are
+     *  host-only constants: kBundleCacheEntries and
+     *  kSuperblockHotThreshold (exec_tier.hh). */
     ExecTier execTier = ExecTier::DirectThreaded;
-    /**
-     * Decoded-bundle cache entries (power of two).  Must cover the
-     * bundle working set of the hot region or the direct-mapped
-     * training counters thrash and superblocks never form: 4 entries
-     * only ever promoted loops of up to 4 bundles, which starved
-     * ADORE-patched pool traces (init + prefetch bundles push the hot
-     * loop past 4).  64 matches kSuperblockMaxBundles.  The same value
-     * is the set count of the 8-way LRU superblock cache (same keying:
-     * both track the bundles of the current hot region).  Host-only:
-     * sizing cannot affect simulated metrics.
-     */
-    std::uint32_t bundleCacheEntries = 64;
-    /**
-     * Non-sequential arrivals at one bundle address (taken-branch
-     * targets, block exits, setPc — never fall-through; at an unchanged
-     * region cache key) that trigger superblock formation: the
-     * threshold-th such arrival builds.  0 disables formation entirely.
-     */
-    std::uint32_t superblockHotThreshold = 16;
 };
 
 class Cpu
@@ -246,7 +230,7 @@ class Cpu
      * Build a superblock headed at @p head from the current image and
      * install it in the superblock cache.  Called from step() when a
      * decoded-bundle-cache entry's non-sequential arrivals reach
-     * superblockHotThreshold.
+     * kSuperblockHotThreshold.
      */
     void buildSuperblockAt(Addr head);
 
@@ -567,17 +551,17 @@ class Cpu
     std::uint32_t l2LineShift_;
     /**
      * Small direct-mapped decoded-bundle cache keyed on (address,
-     * CodeImage::cacheKey).  CpuConfig::bundleCacheEntries sizes it
-     * (64 by default: the bundle working set of an ADORE-patched hot
-     * loop).  The region-keyed cacheKey means only mutations
-     * touching an entry's own region (or reallocating its owning
-     * segment) invalidate it — an ADORE patch elsewhere leaves the
-     * entry, and its hotness training, intact.  `hits` is the
-     * execution tier's hotness signal and counts only non-sequential
-     * arrivals (trace heads, as in Dynamo): taken-branch targets,
-     * block exits and setPc, never fall-through from the previous
-     * bundle.  When it reaches superblockHotThreshold, the address is
-     * superblock-worthy; interior loop bundles never get there.
+     * CodeImage::cacheKey), with kBundleCacheEntries entries (the
+     * bundle working set of an ADORE-patched hot loop).  The
+     * region-keyed cacheKey means only mutations touching an entry's
+     * own region (or reallocating its owning segment) invalidate it —
+     * an ADORE patch elsewhere leaves the entry, and its hotness
+     * training, intact.  `hits` is the execution tier's hotness signal
+     * and counts only non-sequential arrivals (trace heads, as in
+     * Dynamo): taken-branch targets, block exits and setPc, never
+     * fall-through from the previous bundle.  When it reaches
+     * kSuperblockHotThreshold, the address is superblock-worthy;
+     * interior loop bundles never get there.
      */
     struct BundleCacheEntry
     {
@@ -587,7 +571,6 @@ class Cpu
         std::uint32_t hits = 0;  ///< non-sequential arrivals
     };
     std::vector<BundleCacheEntry> bundleCache_;
-    std::size_t bundleCacheMask_;
     /** Superblock tier state (exec_tier.hh): one 8-way set per
      *  bundleCache_ entry. */
     std::unique_ptr<SuperblockCache> superblocks_;

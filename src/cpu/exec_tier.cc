@@ -146,14 +146,7 @@ uopKindFor(Opcode op)
 void
 Cpu::buildSuperblockAt(Addr head)
 {
-    if (config_.superblockHotThreshold == 0)
-        return;
     if (superblocks_->probe(head, code_))
-        return;
-    // Profitability oracle: heads demoted for retiring too little work
-    // per dispatch (at this code generation) or churned past the
-    // invalidation limit are not worth rebuilding.
-    if (!superblocks_->promotionAllowed(head, code_))
         return;
 
     // Region selection: extend along the fall-through path.  A

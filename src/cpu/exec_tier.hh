@@ -43,6 +43,7 @@
 #define ADORE_CPU_EXEC_TIER_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -58,25 +59,29 @@ namespace adore
 /** @name Superblock tier constants (host-only: none can change a
  *  simulated result, and the toggle sweep pins the tier bit-identical
  *  at these values).  Blocks always chain: a block exit that lands on
- *  another valid block's head jumps straight to its uops. */
+ *  another valid block's head jumps straight to its uops, and a block
+ *  leaves the cache only when its code changes or LRU evicts it. */
 /// @{
 /** Maximum bundles stitched into one superblock (one 1 KiB region). */
 constexpr std::uint32_t kSuperblockMaxBundles = 64;
 /**
- * Promotion profitability oracle: every this-many run()-level
- * dispatches of a block, demote it if it averaged fewer than
- * kSuperblockMinRetiredPerDispatch retired instructions per dispatch
- * (its excursions are too short to amortize entry costs).
+ * Decoded-bundle cache entries, and the set count of the 8-way LRU
+ * superblock cache (both track the bundles of the current hot region).
+ * Must cover the bundle working set of the hot region or the
+ * direct-mapped training counters thrash and blocks never form: 4
+ * entries only ever promoted loops of up to 4 bundles, which starved
+ * ADORE-patched pool traces.  Matches kSuperblockMaxBundles.
  */
-constexpr std::uint32_t kSuperblockDemoteWindow = 64;
-/** Demotion threshold: see kSuperblockDemoteWindow. */
-constexpr std::uint64_t kSuperblockMinRetiredPerDispatch = 8;
+constexpr std::uint32_t kBundleCacheEntries = 64;
+static_assert(std::has_single_bit(kBundleCacheEntries),
+              "kBundleCacheEntries must be a power of two");
 /**
- * Churn blacklist: a head whose blocks get invalidated this many times
- * (ADORE repatching the same region over and over) is barred from
- * further promotion.
+ * Non-sequential arrivals at one bundle address (taken-branch targets,
+ * block exits, setPc — never fall-through; at an unchanged region
+ * cache key) that build a superblock headed there: the
+ * threshold-th such arrival builds (Dynamo's trace-head rule).
  */
-constexpr std::uint32_t kSuperblockMaxInvalidations = 64;
+constexpr std::uint32_t kSuperblockHotThreshold = 16;
 /// @}
 
 /**
@@ -232,16 +237,6 @@ struct Superblock
     std::array<ChainLink, 4> chains{};
     std::uint32_t nextChain = 0;
     std::vector<Superblock *> incoming;
-
-    /** @name Promotion-oracle accounting (host-side, run()-maintained)
-     *  Simulated instructions retired per run()-level dispatch,
-     *  windowed: a block whose excursions (including everything it
-     *  chains into) retire too little work per entry is paying more in
-     *  dispatch overhead than it saves and gets demoted. */
-    /// @{
-    std::uint64_t workRetired = 0;
-    std::uint32_t windowDispatches = 0;
-    /// @}
 };
 
 /** SuperblockStats fields, X(type, member, metric, description, class)
@@ -261,7 +256,8 @@ struct Superblock
       "direct block-to-block transitions (no interpreter round-trip)", \
       Host)                                                            \
     X(std::uint64_t, demoted, "blocks_demoted",                        \
-      "superblocks removed by the profitability oracle", Host)         \
+      "always 0: blocks leave only on a code change or LRU eviction", \
+      Host)                                                            \
     X(std::uint64_t, fusedPairs, "fused_pairs",                        \
       "instruction pairs fused into combined uops at build", Host)
 
@@ -273,44 +269,30 @@ struct SuperblockStats
 
 /**
  * Eight-way set-associative superblock cache keyed on head bundle
- * address, with LRU replacement.  It has CpuConfig::bundleCacheEntries
- * sets, so the same knob sizes it and the decoded-bundle cache (they
- * cover the same working set: the bundles of the current hot region).
- * Eight ways let the heads of neighbouring loops that share a set stay
- * resident together instead of evicting each other on every phase
- * repeat: gcc cycles five hot heads through one set (four text loops
- * 3 KiB apart and an ADORE pool trace), which four ways thrash under
- * LRU.  A lookup that finds a block with a stale span-generation
- * sum drops the block (after unlinking it from the chain graph) and
- * charges the head's churn counter in the promotion table.
- *
- * The promotion table is the profitability oracle's memory: a
- * direct-mapped side table recording, per head, how many times its
- * blocks were invalidated (churn — repeated ADORE repatching of the
- * same region) and whether the head was demoted for retiring too little
- * work per dispatch.  Demotion self-heals when the head's region
- * generation changes (the code is different, so the old judgement is
- * void); churn blacklisting is sticky — generation changes are exactly
- * what it measures.
+ * address, with LRU replacement.  Cpu gives it kBundleCacheEntries
+ * sets, the decoded-bundle cache's size (they cover the same working
+ * set: the bundles of the current hot region).  Eight ways let the
+ * heads of neighbouring loops that share a set stay resident together
+ * instead of evicting each other on every phase repeat: gcc cycles
+ * five hot heads through one set (four text loops 3 KiB apart and an
+ * ADORE pool trace), which four ways thrash under LRU.  A lookup that
+ * finds a block with a stale span-generation sum drops the block
+ * (after unlinking it from the chain graph); nothing else removes a
+ * block but LRU replacement.
  */
 class SuperblockCache
 {
   public:
     static constexpr std::size_t ways = 8;
 
-    /** @p sets must be a power of two (Cpu validates the config).
-     *  @p max_invalidations blacklists a head after that many stale
-     *  drops (0 disables churn blacklisting). */
-    explicit SuperblockCache(std::size_t sets,
-                             std::uint32_t max_invalidations)
-        : sets_(sets), mask_(sets - 1),
-          maxInvalidations_(max_invalidations)
+    /** @p sets must be a power of two. */
+    explicit SuperblockCache(std::size_t sets) : sets_(sets), mask_(sets - 1)
     {
     }
 
     /** The valid block headed at @p head, or null.  A hit becomes the
      *  set's most recently used way; a stale occupant is dropped (and
-     *  unlinked), charging its churn counter. */
+     *  unlinked). */
     Superblock *
     lookup(Addr head, const CodeImage &code)
     {
@@ -402,49 +384,6 @@ class SuperblockCache
         to->incoming.push_back(from);
     }
 
-    /**
-     * Oracle consult at promotion time: false when the head is
-     * blacklisted — demoted at the current region generation, or past
-     * the churn limit.  A demoted entry whose region generation moved
-     * is cleared (the code changed; re-judge it).
-     */
-    bool
-    promotionAllowed(Addr head, const CodeImage &code)
-    {
-        PromoteEntry &e = promoteFor(head);
-        if (e.head != head)
-            return true;
-        if (e.demoted) {
-            if (code.regionGeneration(head) == e.gen)
-                return false;
-            e = PromoteEntry{};
-            return true;
-        }
-        return maxInvalidations_ == 0 ||
-               e.invalidations < maxInvalidations_;
-    }
-
-    /**
-     * Oracle verdict: @p sb retires too little work per dispatch.
-     * Blacklist its head at the current region generation and remove
-     * the block.  The caller must not touch @p sb afterwards.
-     */
-    void
-    demote(Superblock *sb, const CodeImage &code)
-    {
-        PromoteEntry &e = promoteFor(sb->head);
-        if (e.head != sb->head)
-            e = PromoteEntry{};
-        e.head = sb->head;
-        e.demoted = true;
-        e.gen = code.regionGeneration(sb->head);
-        unlinkBlock(sb);
-        Set &set = sets_[setIndex(sb->head)];
-        if (std::size_t i = wayOf(set, sb); i < ways)
-            set.clear(i);
-        ++stats_.demoted;
-    }
-
     SuperblockStats &stats() { return stats_; }
     const SuperblockStats &stats() const { return stats_; }
 
@@ -471,14 +410,6 @@ class SuperblockCache
         }
     };
 
-    struct PromoteEntry
-    {
-        Addr head = ~Addr{0};
-        std::uint64_t gen = 0;          ///< region gen when demoted
-        std::uint32_t invalidations = 0;
-        bool demoted = false;
-    };
-
     std::size_t
     setIndex(Addr head) const
     {
@@ -494,13 +425,6 @@ class SuperblockCache
                 return i;
         }
         return ways;
-    }
-
-    PromoteEntry &
-    promoteFor(Addr head)
-    {
-        return promote_[static_cast<std::size_t>(head / isa::bundleBytes) %
-                        promote_.size()];
     }
 
     void
@@ -542,13 +466,6 @@ class SuperblockCache
     void
     dropStale(Set &set, std::size_t i)
     {
-        Addr head = set.heads[i];
-        PromoteEntry &e = promoteFor(head);
-        if (e.head != head) {
-            e = PromoteEntry{};
-            e.head = head;
-        }
-        ++e.invalidations;
         unlinkBlock(set.blocks[i].get());
         set.clear(i);
         ++stats_.invalidated;
@@ -557,8 +474,6 @@ class SuperblockCache
     std::vector<Set> sets_;
     std::size_t mask_;
     std::uint64_t tick_ = 0;  ///< LRU clock; stamps start at 1
-    std::uint32_t maxInvalidations_;
-    std::array<PromoteEntry, 64> promote_{};
     SuperblockStats stats_;
 };
 

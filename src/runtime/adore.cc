@@ -183,16 +183,7 @@ AdoreRuntime::endPollGuardrails()
     std::uint64_t dropped = mem.prefetchesDropped - lastPrefetchesDropped_;
     lastPrefetchesIssued_ = mem.prefetchesIssued;
     lastPrefetchesDropped_ = mem.prefetchesDropped;
-    std::uint64_t hwIssued = 0;
-    std::uint64_t hwDropped = 0;
-    if (const HwPrefetchEngine *hw = cpu_.caches().hwPrefetch()) {
-        const HwPrefetchStats &hs = hw->stats();
-        hwIssued = hs.issued() - lastHwIssued_;
-        hwDropped = hs.dropped() - lastHwDropped_;
-        lastHwIssued_ = hs.issued();
-        lastHwDropped_ = hs.dropped();
-    }
-    guardrails_->noteMemPressure(issued, dropped, hwIssued, hwDropped);
+    guardrails_->noteMemPressure(issued, dropped);
     guardrails_->endPoll();
 
     // Apply sampling-rate backoff.  The poll runs inside a Cpu periodic

@@ -293,8 +293,6 @@ class AdoreRuntime
     Cycle baseSamplingInterval_ = 0;  ///< pre-backoff sampling interval
     std::uint64_t lastPrefetchesIssued_ = 0;
     std::uint64_t lastPrefetchesDropped_ = 0;
-    std::uint64_t lastHwIssued_ = 0;
-    std::uint64_t lastHwDropped_ = 0;
     fault::FaultStats lastFaultStats_;  ///< per-poll delta reference
 };
 

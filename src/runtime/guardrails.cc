@@ -35,19 +35,12 @@ Guardrails::notePhaseChange()
 
 void
 Guardrails::noteMemPressure(std::uint64_t issued_delta,
-                            std::uint64_t dropped_delta,
-                            std::uint64_t hw_issued_delta,
-                            std::uint64_t hw_dropped_delta)
+                            std::uint64_t dropped_delta)
 {
-    std::uint64_t events = issued_delta + dropped_delta +
-                           hw_issued_delta + hw_dropped_delta;
+    std::uint64_t events = issued_delta + dropped_delta;
     if (events < config_.prefetchMinEvents)
         return;  // too few prefetch events to trust the rate
-    // Hardware and software prefetch share the bus and queue depth, so
-    // the throttle decision runs on the combined drop rate: hardware
-    // drops move the software throttle.  With zero hw deltas this is
-    // the software-only rate.
-    double rate = static_cast<double>(dropped_delta + hw_dropped_delta) /
+    double rate = static_cast<double>(dropped_delta) /
                   static_cast<double>(events);
     if (rate < config_.prefetchDampDropRate)
         return;  // calm poll

@@ -157,17 +157,15 @@ class Guardrails
     void notePhaseChange();
 
     /**
-     * Prefetch issue/drop deltas observed since the previous poll —
-     * software (lfetch) and, when the hardware-prefetcher zoo is on,
-     * hardware.  The throttle decision runs on the *combined* drop rate:
-     * both share the bus and prefetchQueueDepth, so hardware drops move
-     * the software throttle.  The hardware configuration itself is
-     * static.
+     * Software prefetch (lfetch) issue/drop deltas observed since the
+     * previous poll.  An lfetch is dropped by the same bus-backlog test
+     * the hardware zoo's engines face, so its drop rate already measures
+     * the shared bus.  Hardware drops are not counted: the throttle only
+     * relieves software pressure, and hardware pressure alone would pin
+     * it at Disabled.
      */
     void noteMemPressure(std::uint64_t issued_delta,
-                         std::uint64_t dropped_delta,
-                         std::uint64_t hw_issued_delta = 0,
-                         std::uint64_t hw_dropped_delta = 0);
+                         std::uint64_t dropped_delta);
 
     /** A trace head was reverted: schedule backoff or blacklist. */
     void noteTraceReverted(Addr head);

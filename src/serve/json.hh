@@ -10,7 +10,7 @@
  * with a depth limit, plus the escaping helpers responses are built
  * from.  No dependencies beyond the standard library; protocol inputs
  * are untrusted, so every malformed document must come back as a
- * parse error, never UB (the Json* ASan shard in ci.sh runs this
+ * parse error, never UB (ci.sh's ASan+UBSan ctest pass runs this
  * parser over the malformed-input tests).
  */
 

@@ -1,16 +1,14 @@
 /**
  * @file
  * Tests for the direct-threaded superblock execution tier (DESIGN.md
- * §12): formation at the hotness threshold (with threshold-1 /
+ * §12): formation at kSuperblockHotThreshold (with threshold-1 /
  * threshold / threshold+1 edges), eviction on image patching and
  * rebuild against the patched content, self-loop back-edge execution,
- * the decoded-bundle-cache sizing knob, and sampling parity vs the
- * interpreter on mcf_o2 with ADORE attached.
+ * and sampling parity vs the interpreter on mcf_o2 with ADORE attached.
  *
  * Region-keyed invalidation and chaining: direct unit tests of the
  * SuperblockCache chain graph (link / unlink-on-invalidate /
- * unlink-on-replace), its 8-way LRU sets, and the promotion oracle
- * (demote self-heal, churn blacklist), plus a chaos-schedule test
+ * unlink-on-replace) and its 8-way LRU sets, plus a chaos-schedule test
  * proving a patch to region A never executes a stale uop from A and
  * never invalidates a block in untouched region B.
  *
@@ -111,9 +109,9 @@ commitCountedLoop(CodeImage &code, std::int64_t iters,
  * resetting pc each time so no other address trains.
  */
 void
-stepAt(Cpu &cpu, Addr addr, int times)
+stepAt(Cpu &cpu, Addr addr, std::uint32_t times)
 {
-    for (int i = 0; i < times; ++i) {
+    for (std::uint32_t i = 0; i < times; ++i) {
         cpu.setPc(addr);
         cpu.step();
     }
@@ -121,13 +119,11 @@ stepAt(Cpu &cpu, Addr addr, int times)
 
 TEST(ExecTier, FormationAtExactlyTheThreshold)
 {
-    CpuConfig ccfg;
-    ccfg.superblockHotThreshold = 4;
-    TierRig rig(ccfg);
+    TierRig rig;
     LoopAddrs addrs = commitCountedLoop(rig.code, 1000);
 
     // threshold - 1 executions: not hot yet.
-    stepAt(rig.cpu, addrs.head, 3);
+    stepAt(rig.cpu, addrs.head, kSuperblockHotThreshold - 1);
     EXPECT_EQ(rig.cpu.superblockStats().built, 0u);
     EXPECT_EQ(rig.cpu.superblockAt(addrs.head), nullptr);
 
@@ -146,50 +142,23 @@ TEST(ExecTier, FormationAtExactlyTheThreshold)
     EXPECT_EQ(rig.cpu.superblockAt(addrs.head), sb);
 }
 
-TEST(ExecTier, ThresholdOneBuildsOnFirstExecution)
-{
-    CpuConfig ccfg;
-    ccfg.superblockHotThreshold = 1;
-    TierRig rig(ccfg);
-    LoopAddrs addrs = commitCountedLoop(rig.code, 10);
-
-    stepAt(rig.cpu, addrs.head, 1);
-    EXPECT_EQ(rig.cpu.superblockStats().built, 1u);
-    EXPECT_NE(rig.cpu.superblockAt(addrs.head), nullptr);
-}
-
-TEST(ExecTier, ThresholdZeroDisablesFormation)
-{
-    CpuConfig ccfg;
-    ccfg.superblockHotThreshold = 0;
-    TierRig rig(ccfg);
-    LoopAddrs addrs = commitCountedLoop(rig.code, 10);
-
-    stepAt(rig.cpu, addrs.head, 64);
-    EXPECT_EQ(rig.cpu.superblockStats().built, 0u);
-    EXPECT_EQ(rig.cpu.superblockAt(addrs.head), nullptr);
-}
-
 TEST(ExecTier, InterpreterTierNeverForms)
 {
     CpuConfig ccfg;
     ccfg.execTier = ExecTier::Interpreter;
-    ccfg.superblockHotThreshold = 2;
     TierRig rig(ccfg);
     LoopAddrs addrs = commitCountedLoop(rig.code, 10);
 
-    stepAt(rig.cpu, addrs.head, 32);
+    stepAt(rig.cpu, addrs.head, 2 * kSuperblockHotThreshold);
     EXPECT_EQ(rig.cpu.superblockStats().built, 0u);
 }
 
 TEST(ExecTier, PatchEvictsAndRebuildSeesPatchedContent)
 {
-    CpuConfig ccfg;
-    ccfg.superblockHotThreshold = 3;
-    TierRig rig(ccfg);
+    TierRig rig;
     LoopAddrs addrs = commitCountedLoop(rig.code, 1000);
 
-    stepAt(rig.cpu, addrs.head, 3);
+    stepAt(rig.cpu, addrs.head, kSuperblockHotThreshold);
     ASSERT_NE(rig.cpu.superblockAt(addrs.head), nullptr);
     std::uint64_t gen_before = rig.code.regionGeneration(addrs.head);
 
@@ -214,7 +183,7 @@ TEST(ExecTier, PatchEvictsAndRebuildSeesPatchedContent)
     // remembered ones: overwrite the head so r2 steps by 5 per trip,
     // retrain on a fresh CPU (the first one halted), and check the
     // architectural witness.
-    TierRig fresh(ccfg);
+    TierRig fresh;
     commitCountedLoop(fresh.code, 100);
     Bundle head5;
     head5.add(build::addi(2, 5, 2));
@@ -276,12 +245,9 @@ commitLongLoop(CodeImage &code, std::int64_t iters)
 
 TEST(ExecTier, OnlyTheLoopHeadHeadsABlock)
 {
-    CpuConfig ccfg;
-    ccfg.superblockHotThreshold = 4;
-
     // Through run(): the loop head is promoted, its block loops in
     // place, and the exit to the halt bundle is a single arrival.
-    TierRig rig(ccfg);
+    TierRig rig;
     LoopAddrs addrs = commitLongLoop(rig.code, 1000);
     rig.cpu.setPc(kText);
     EXPECT_TRUE(rig.cpu.run(~Cycle{0}).halted);
@@ -297,7 +263,7 @@ TEST(ExecTier, OnlyTheLoopHeadHeadsABlock)
     // is interpreted 1000 times: the interior bundles reach the
     // threshold in the same iteration as the head, yet only
     // fall-through ever reaches them, so none heads a block.
-    TierRig stepped(ccfg);
+    TierRig stepped;
     commitLongLoop(stepped.code, 1000);
     stepped.cpu.setPc(kText);
     while (stepped.cpu.step()) {
@@ -314,8 +280,7 @@ TEST(ExecTier, OnlyTheLoopHeadHeadsABlock)
 TEST(ExecTier, SelfLoopBackEdgeMatchesInterpreter)
 {
     CpuConfig direct;
-    direct.superblockHotThreshold = 4;
-    CpuConfig interp = direct;
+    CpuConfig interp;
     interp.execTier = ExecTier::Interpreter;
 
     TierRig a(direct);
@@ -349,31 +314,6 @@ TEST(ExecTier, SelfLoopBackEdgeMatchesInterpreter)
     EXPECT_EQ(ca.takenBranches, cb.takenBranches);
     EXPECT_EQ(ca.mispredicts, cb.mispredicts);
     EXPECT_EQ(ca.dcacheLoadMisses, cb.dcacheLoadMisses);
-}
-
-TEST(ExecTier, BundleCacheKnobKeepsMetricsBitIdentical)
-{
-    // The knob resizes a pure host-side cache, so a tiny 8-entry cache
-    // must produce exactly the metrics of the 64-entry default — on
-    // both tiers.
-    for (ExecTier tier : {ExecTier::Interpreter, ExecTier::DirectThreaded}) {
-        CpuConfig small;
-        small.execTier = tier;
-        CpuConfig large = small;
-        large.bundleCacheEntries = 8;
-
-        TierRig a(small);
-        TierRig b(large);
-        commitCountedLoop(a.code, 3000, 2);
-        commitCountedLoop(b.code, 3000, 2);
-        a.cpu.setPc(kText);
-        b.cpu.setPc(kText);
-        auto ra = a.cpu.run(~Cycle{0});
-        auto rb = b.cpu.run(~Cycle{0});
-        EXPECT_EQ(ra.cycles, rb.cycles) << execTierName(tier);
-        EXPECT_EQ(ra.retired, rb.retired) << execTierName(tier);
-        EXPECT_EQ(a.cpu.intReg(2), b.cpu.intReg(2)) << execTierName(tier);
-    }
 }
 
 /** mcf_o2 with ADORE attached: sampling and decision accounting must be
@@ -427,9 +367,7 @@ TEST(ExecTier, SamplingParityOnMcfWithAdore)
  *  and executes the straight-line prefix bit-identically. */
 TEST(ExecTier, StraightLineRegionWithCallExit)
 {
-    CpuConfig ccfg;
-    ccfg.superblockHotThreshold = 2;
-    TierRig rig(ccfg);
+    TierRig rig;
 
     // head: r2 += 1 ; call -> func ; func: r2 += 10 ; ret ; after: halt
     CodeBuffer buf;
@@ -453,7 +391,7 @@ TEST(ExecTier, StraightLineRegionWithCallExit)
 
     // Train the head hot, then run the whole program on a fresh CPU
     // with the same image via a second rig sharing nothing.
-    stepAt(rig.cpu, head, 2);
+    stepAt(rig.cpu, head, kSuperblockHotThreshold);
     const Superblock *sb = rig.cpu.superblockAt(head);
     ASSERT_NE(sb, nullptr);
     EXPECT_FALSE(sb->loopBack);
@@ -462,9 +400,9 @@ TEST(ExecTier, StraightLineRegionWithCallExit)
     rig.cpu.setPc(head);
     rig.cpu.run(~Cycle{0});
     EXPECT_TRUE(rig.cpu.halted());
-    // Two trained head executions added 1 each; the final run adds 1 at
+    // The trained head executions added 1 each; the final run adds 1 at
     // the head, 10 in the callee, then returns to the fallthrough halt.
-    EXPECT_EQ(rig.cpu.intReg(2), 2 + 1 + 10);
+    EXPECT_EQ(rig.cpu.intReg(2), kSuperblockHotThreshold + 1 + 10);
 }
 
 // ---------------------------------------------------------------------------
@@ -511,7 +449,7 @@ TEST(ExecTier, ChainUnlinkWhenTargetGoesStale)
 {
     CodeImage code;
     commitNopText(code, 70);  // bundle 66 lands in the second region
-    SuperblockCache cache(8, 0);
+    SuperblockCache cache(8);
 
     auto a_up = mkBlock(code, 1);
     auto b_up = mkBlock(code, 66);
@@ -541,7 +479,7 @@ TEST(ExecTier, ChainUnlinkWhenSourceGoesStale)
 {
     CodeImage code;
     commitNopText(code, 70);
-    SuperblockCache cache(8, 0);
+    SuperblockCache cache(8);
 
     auto a_up = mkBlock(code, 1);
     auto b_up = mkBlock(code, 66);
@@ -563,7 +501,7 @@ TEST(ExecTier, ChainUnlinkWhenTargetIsReplaced)
 {
     CodeImage code;
     commitNopText(code, 70);
-    SuperblockCache cache(8, 0);
+    SuperblockCache cache(8);
 
     auto a_up = mkBlock(code, 1);
     auto b_up = mkBlock(code, 66);
@@ -589,7 +527,7 @@ TEST(ExecTier, CollidingHeadsShareASet)
 {
     CodeImage code;
     commitNopText(code, 70);
-    SuperblockCache cache(8, 0);
+    SuperblockCache cache(8);
 
     // Bundles 1, 9, 17, 25 map to the same set of an 8-set cache (a
     // direct-mapped cache would keep only the last one).
@@ -609,7 +547,7 @@ TEST(ExecTier, LruEvictsLeastRecentlyLookedUpWay)
 {
     CodeImage code;
     commitNopText(code, 70);
-    SuperblockCache cache(8, 0);
+    SuperblockCache cache(8);
     auto headOf = [](int idx) {
         return kText + static_cast<Addr>(idx) * isa::bundleBytes;
     };
@@ -644,7 +582,7 @@ TEST(ExecTier, FiveHeadsCyclingThroughOneSetEvictNothing)
     // heads would evict on every lookup.
     CodeImage code;
     commitNopText(code, 70);
-    SuperblockCache cache(8, 0);
+    SuperblockCache cache(8);
     for (int round = 0; round < 4; ++round) {
         for (int i = 0; i < 5; ++i) {
             int idx = 1 + 8 * i;
@@ -655,56 +593,6 @@ TEST(ExecTier, FiveHeadsCyclingThroughOneSetEvictNothing)
     }
     EXPECT_EQ(cache.stats().built, 5u);
     EXPECT_EQ(cache.stats().replaced, 0u);
-}
-
-TEST(ExecTier, OracleDemoteUnlinksBlacklistsAndSelfHeals)
-{
-    CodeImage code;
-    commitNopText(code, 70);
-    SuperblockCache cache(8, 0);
-
-    auto a_up = mkBlock(code, 1);
-    auto b_up = mkBlock(code, 66);
-    Superblock *a = a_up.get();
-    Superblock *b = b_up.get();
-    Addr head = a->head;
-    cache.insert(std::move(a_up));
-    cache.insert(std::move(b_up));
-    cache.link(a, b->head, b);
-
-    EXPECT_TRUE(cache.promotionAllowed(head, code));
-    cache.demote(a, code);  // a is dead after this call
-    EXPECT_EQ(cache.stats().demoted, 1u);
-    EXPECT_TRUE(b->incoming.empty());
-    EXPECT_EQ(cache.lookup(head, code), nullptr);
-    EXPECT_FALSE(cache.promotionAllowed(head, code));
-
-    // Self-heal: once the head's region generation moves, the old
-    // verdict is void and the head may be promoted again.
-    code.writeBundle(head, nopBundle());
-    EXPECT_TRUE(cache.promotionAllowed(head, code));
-}
-
-TEST(ExecTier, OracleChurnBlacklistIsSticky)
-{
-    CodeImage code;
-    commitNopText(code, 70);
-    SuperblockCache cache(8, 2);  // blacklist after two stale drops
-    Addr head = kText + isa::bundleBytes;
-
-    for (int round = 0; round < 2; ++round) {
-        EXPECT_TRUE(cache.promotionAllowed(head, code));
-        cache.insert(mkBlock(code, 1));
-        code.writeBundle(head, nopBundle());
-        EXPECT_EQ(cache.lookup(head, code), nullptr);
-    }
-    EXPECT_EQ(cache.stats().invalidated, 2u);
-    EXPECT_FALSE(cache.promotionAllowed(head, code));
-
-    // Churn blacklisting measures generation churn itself, so — unlike
-    // demotion — a further generation bump does not clear it.
-    code.writeBundle(head, nopBundle());
-    EXPECT_FALSE(cache.promotionAllowed(head, code));
 }
 
 // ---------------------------------------------------------------------------
@@ -718,9 +606,7 @@ TEST(ExecTier, PatchToRegionANeverRunsStaleUopsNorTouchesRegionB)
     constexpr std::int64_t kBig = 200000;  // loop A budget (never finishes)
     constexpr std::int64_t kIters = 3000;  // loop B trip count
 
-    CpuConfig ccfg;
-    ccfg.superblockHotThreshold = 4;
-    TierRig rig(ccfg);
+    TierRig rig;
 
     // b0 (kText):  movi r1, kBig | movi r3, kIters | movi r4, 0
     // b1 (aHead):  addi r1, -1, r1 | cmp.ne p1 = r1, r0 | br.p1 -> b1
@@ -768,7 +654,7 @@ TEST(ExecTier, PatchToRegionANeverRunsStaleUopsNorTouchesRegionB)
     buf.commitToText(rig.code);
 
     // Pre-train B so its block exists before the run begins.
-    stepAt(rig.cpu, b_head, 4);
+    stepAt(rig.cpu, b_head, kSuperblockHotThreshold);
     const Superblock *sb_b = rig.cpu.superblockAt(b_head);
     ASSERT_NE(sb_b, nullptr);
     EXPECT_TRUE(sb_b->loopBack);
@@ -812,7 +698,6 @@ TEST(ExecTier, PatchToRegionANeverRunsStaleUopsNorTouchesRegionB)
     // and bumped A's.
     EXPECT_EQ(rig.cpu.superblockAt(b_head), sb_b);
     EXPECT_EQ(rig.cpu.superblockStats().invalidated, 1u);
-    EXPECT_EQ(rig.cpu.superblockStats().demoted, 0u);
     EXPECT_EQ(rig.code.regionGeneration(b_head), gen_b_before);
     EXPECT_GT(rig.code.regionGeneration(a_head), gen_a_before);
 }

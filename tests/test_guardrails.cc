@@ -6,8 +6,8 @@
  *  - unit tests of the four state machines (re-optimization backoff,
  *    sampling backoff, prefetch throttle, recoverable failures);
  *  - the capacity-bounded trace pool (CodeImage::tryAllocTrace);
- *  - the guardrail staged-revert path and pool-exhaustion handling
- *    end to end.
+ *  - the guardrail staged-revert path, pool-exhaustion handling and
+ *    the prefetch throttle under hardware-zoo pressure end to end.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +16,11 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "observe/figures.hh"
 #include "program/code_image.hh"
 #include "runtime/guardrails.hh"
 #include "workloads/common.hh"
+#include "workloads/workloads.hh"
 
 namespace adore
 {
@@ -200,28 +202,25 @@ TEST(Guardrails, ThrottleDampsDisablesAndRecovers)
     EXPECT_EQ(g.stats().prefetchRestored, 2u);
 }
 
-TEST(Guardrails, HardwareDropsMoveTheSoftwareThrottleOnTheFirstPoll)
+TEST(Guardrails, HardwareOnlyDropsLeaveTheThrottleNormal)
 {
-    // Hardware and software prefetch share one bus, so hardware-only
-    // drops count in the same rate and move the software throttle on
-    // the first pressured poll.
-    GuardrailConfig cfg = enabledConfig();
-    cfg.prefetchDampDropRate = 0.25;
-    cfg.prefetchDisableDropRate = 0.50;
-    cfg.prefetchMinEvents = 4;
-    Guardrails g(cfg);
+    // The throttle reads the software drop rate alone: an lfetch is
+    // dropped by the same bus-backlog test the hardware engines face,
+    // so that rate already measures the shared bus.  A monitoring-only
+    // runtime issues no lfetch, so however many hardware prefetches the
+    // bus drops, the throttle stays Normal.
+    hir::Program prog = workloads::make("swim");
+    RunConfig cfg = report::armConfig(report::Arm::O2Monitor);
+    cfg.machine.hier.hwPrefetch.enabled = true;
+    cfg.adoreConfig.guardrails.enabled = true;
+    RunMetrics m = Experiment::run(prog, cfg);
 
-    g.beginPoll();
-    g.noteMemPressure(0, 0, 7, 3);  // hardware only, 30% dropped
-    g.endPoll();
-    EXPECT_EQ(g.throttle(), Guardrails::Throttle::Damped);
-    EXPECT_EQ(g.stats().prefetchDamped, 1u);
-
-    g.beginPoll();
-    g.noteMemPressure(2, 0, 1, 7);  // mixed, 70% dropped
-    g.endPoll();
-    EXPECT_EQ(g.throttle(), Guardrails::Throttle::Disabled);
-    EXPECT_EQ(g.stats().prefetchDisabled, 1u);
+    ASSERT_TRUE(m.guardrailsUsed);
+    EXPECT_GT(m.hwpfStats.dropped(), 0u);
+    EXPECT_EQ(m.memStats.prefetchesIssued + m.memStats.prefetchesDropped,
+              0u);
+    EXPECT_EQ(m.guardrailStats.prefetchDamped, 0u);
+    EXPECT_EQ(m.guardrailStats.prefetchDisabled, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -361,6 +360,29 @@ TEST(GuardrailsEndToEnd, PoolExhaustionIsRecoverable)
     EXPECT_TRUE(ok.halted);
     EXPECT_GE(ok.adoreStats.tracesPatched, 1u);
     EXPECT_LT(ok.cycles, m.cycles);
+}
+
+// ---------------------------------------------------------------------
+// End-to-end: hardware-zoo pressure never throttles ADORE's prefetches
+// ---------------------------------------------------------------------
+
+TEST(GuardrailsEndToEnd, ZooPressureLeavesAppluPrefetchingOn)
+{
+    // With the zoo on, applu's bus drops hardware prefetches.  That
+    // must not make the guardrails disable ADORE's prefetching, so they
+    // cost at most 1% of the unguarded runtime's cycles.
+    hir::Program prog = workloads::make("applu");
+    RunConfig plain = report::armConfig(report::Arm::O2HwAdore);
+    RunConfig guarded = plain;
+    guarded.adoreConfig.guardrails.enabled = true;
+    RunMetrics p = Experiment::run(prog, plain);
+    RunMetrics g = Experiment::run(prog, guarded);
+
+    ASSERT_TRUE(g.guardrailsUsed);
+    ASSERT_TRUE(g.hwPrefetchUsed);
+    EXPECT_EQ(g.guardrailStats.prefetchDisabled, 0u);
+    EXPECT_LE(static_cast<double>(g.cycles),
+              1.01 * static_cast<double>(p.cycles));
 }
 
 // ---------------------------------------------------------------------

@@ -7,8 +7,8 @@
  * retry/dead-letter, deadline timeouts, admission control, corruption
  * fallback, drain, and shutdown accounting.
  *
- * Suite names matter: ci.sh runs the Serve, Json, ResultCache,
- * ServiceFault, and Prom suites as sanitizer shards (ASan and TSan).
+ * Suite names matter: ci.sh's TSan pass selects the Serve suites by
+ * name (ASan runs the whole suite).
  */
 
 #include <atomic>

@@ -10,16 +10,20 @@
  * an empty invariants::diffIdentity — every Sim counter of every stats
  * block, generated from the field lists — and an identical rendered
  * decision-event stream, element by element.  TierToggle cases also
- * gate the direct tier's work counters (expectTierDidItsWork below).
+ * gate the direct tier's work counters (expectTierDidItsWork below),
+ * and the two plain Tier variants hold them to committed per-workload
+ * bands (expectWorkInBand).
  *
  * The sweep is one variant table × the workload registry.  A variant
  * is registered as "All/<suite>.<name>/<workload>", under the suite of
- * the toggle it flips (TierToggle, FastPathToggle), so the CI shards
- * select cases by suite name.
+ * the toggle it flips (TierToggle, FastPathToggle), so `ctest -R`
+ * selects cases by suite name.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -43,6 +47,63 @@ enum class Toggle
     FastPath,  ///< HierarchyConfig::fastPath on vs off
 };
 
+/**
+ * Committed direct-tier work for one workload: run()-level block
+ * dispatches, chained block-to-block transitions and inline loop trips.
+ * Like the block counts, these are a pure function of (program,
+ * config), so they repeat on every host.  A change that moves them on
+ * purpose re-measures the tables below and says why in CHANGES.md.
+ */
+struct TierWork
+{
+    const char *workload;
+    std::uint64_t dispatches;
+    std::uint64_t chained;
+    std::uint64_t loopTrips;
+};
+
+/** NoAdoreBitIdentical's direct-tier run. */
+constexpr TierWork kNoAdoreWork[] = {
+    {"bzip2", 6, 0, 90'746},
+    {"gzip", 8, 0, 147'459},
+    {"mcf", 1, 0, 16'902},
+    {"vpr", 1, 0, 17'359},
+    {"parser", 10, 0, 72'108},
+    {"gap", 154'212, 2, 73'706},
+    {"vortex", 3, 191'374, 49'134},
+    {"gcc", 3'755, 0, 240'317},
+    {"ammp", 2, 0, 46'185},
+    {"art", 1, 0, 37'772},
+    {"applu", 17, 0, 32'968},
+    {"equake", 1, 0, 24'796},
+    {"facerec", 2, 0, 52'145},
+    {"fma3d", 2, 0, 52'145},
+    {"lucas", 1, 0, 16'315},
+    {"mesa", 1, 0, 51'475},
+    {"swim", 1, 0, 9'722},
+};
+
+/** AdoreSyncBitIdentical's direct-tier run. */
+constexpr TierWork kAdoreWork[] = {
+    {"bzip2", 790, 568, 89'708},
+    {"gzip", 499, 388, 146'968},
+    {"mcf", 776, 699, 22'661},
+    {"vpr", 784, 681, 17'121},
+    {"parser", 799, 484, 78'571},
+    {"gap", 150'330, 120, 73'510},
+    {"vortex", 791, 70'592, 165'297},
+    {"gcc", 4'435, 0, 231'660},
+    {"ammp", 792, 665, 60'895},
+    {"art", 778, 691, 46'234},
+    {"applu", 800, 556, 33'610},
+    {"equake", 777, 672, 39'103},
+    {"facerec", 773, 698, 55'168},
+    {"fma3d", 773, 696, 55'163},
+    {"lucas", 778, 678, 15'931},
+    {"mesa", 794, 701, 65'959},
+    {"swim", 781, 690, 9'633},
+};
+
 struct Variant
 {
     const char *suite;
@@ -51,11 +112,15 @@ struct Variant
     bool adore = false;
     bool chaos = false;  ///< full fault schedule + guardrails
     bool hwpf = false;   ///< hardware-prefetcher zoo, static defaults
+    /** Committed direct-tier work per workload (Tier variants only). */
+    std::span<const TierWork> work = {};
 };
 
 const Variant kVariants[] = {
-    {"TierToggle", "NoAdoreBitIdentical", Toggle::Tier},
-    {"TierToggle", "AdoreSyncBitIdentical", Toggle::Tier, true},
+    {"TierToggle", "NoAdoreBitIdentical", Toggle::Tier, false, false, false,
+     kNoAdoreWork},
+    {"TierToggle", "AdoreSyncBitIdentical", Toggle::Tier, true, false, false,
+     kAdoreWork},
     {"TierToggle", "AdoreSyncBitIdenticalUnderChaos", Toggle::Tier, true,
      true},
     {"TierToggle", "HwpfNoAdoreBitIdentical", Toggle::Tier, false, false,
@@ -156,6 +221,8 @@ class ToggleCase : public ::testing::Test
         EXPECT_TRUE(diffs.empty()) << joinLines(diffs);
         if (variant_.toggle == Toggle::Tier)
             expectTierDidItsWork(b.metrics.superblockStats);
+        if (!variant_.work.empty())
+            expectWorkInBand(b.metrics.superblockStats);
 
         // The decision-event stream is the strongest check: identical
         // decisions, in the same order, at the same simulated cycles.
@@ -179,6 +246,32 @@ class ToggleCase : public ::testing::Test
         EXPECT_EQ(s.replaced, 0u) << "superblocks evicted by LRU";
         EXPECT_LT(s.built, 512u) << "superblock builds";
         EXPECT_GT(s.dispatches, 0u) << "no superblock was dispatched";
+    }
+
+    /**
+     * The direct-tier run's work counters lie within ±10% of the
+     * committed values.  A change that hits both tiers alike, such as a
+     * lost chain or a broken trace-head rule, moves them, although no
+     * ratio of host times can see it.
+     */
+    void
+    expectWorkInBand(const SuperblockStats &s) const
+    {
+        const TierWork *want = nullptr;
+        for (const TierWork &w : variant_.work)
+            if (workload_ == w.workload)
+                want = &w;
+        ASSERT_NE(want, nullptr) << "no committed tier work for "
+                                 << workload_;
+        auto inBand = [](const char *counter, std::uint64_t got,
+                         std::uint64_t committed) {
+            EXPECT_TRUE(got * 10 >= committed * 9 &&
+                        got * 10 <= committed * 11)
+                << counter << " " << got << ", committed " << committed;
+        };
+        inBand("dispatches", s.dispatches, want->dispatches);
+        inBand("chained", s.chained, want->chained);
+        inBand("loopTrips", s.loopTrips, want->loopTrips);
     }
 
   private:
