@@ -35,6 +35,10 @@
 # as deferred per-page fills that hold RNG snapshots and write raw page
 # bytes on a page's first touch; the ctest sweep pins their byte
 # identity (DataSegment.*) and how many pages exist (DataMaterialisation).
+# The layout generator skips each page with Rng::discard, a GF(2)
+# polynomial jump; Rng.* checks it against stepping, and the full
+# ASan+UBSan ctest runs Rng.* too, where a shift by 64 in the
+# polynomial arithmetic would be caught.
 #
 # Hardware-prefetcher coverage (DESIGN.md §13): a --hwpf chaos smoke
 # soaks the static zoo and guardrailed ADORE on one shared bus under
@@ -46,7 +50,9 @@
 # zero lost jobs and a clean drain against a one-shot oracle, a stdin
 # protocol smoke covers the line-JSON surface, and the TSan pass
 # runs the ThreadPool/Serve shard plus a short fault soak so the
-# drain-vs-submit and monitor-cancel races stay under the detector.
+# drain-vs-submit and monitor-cancel races stay under the detector; the
+# shard's ServeDaemon.RetriedJobKeepsItsProgramUntilDone runs a
+# terminal job's release against concurrent status and wait.
 #
 # Usage: scripts/ci.sh [build-dir]           (default: build-ci)
 #   ADORE_CI_SKIP_SANITIZERS=1 skips the sanitizer builds (for very

@@ -27,10 +27,12 @@ fpBits(double v, std::uint32_t elem_bytes)
     return bits;
 }
 
-/** Write @p n consecutive elements of a DataLayout::allocArray array. */
+} // namespace
+
 void
-writeElements(std::uint8_t *dst, std::uint64_t n, DataInit init,
-              std::uint32_t elem_bytes, std::uint64_t range, Rng &rng)
+DataLayout::writeElements(std::uint8_t *dst, std::uint64_t n,
+                          DataInit init, std::uint32_t elem_bytes,
+                          std::uint64_t range, Rng &rng)
 {
     for (std::uint64_t k = 0; k < n; ++k, dst += elem_bytes) {
         std::uint64_t bits = 0;
@@ -58,8 +60,6 @@ writeElements(std::uint8_t *dst, std::uint64_t n, DataInit init,
         }
     }
 }
-
-} // namespace
 
 Addr
 DataLayout::alloc(const std::string &name, std::uint64_t bytes,

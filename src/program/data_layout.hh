@@ -83,6 +83,16 @@ class DataLayout
                          std::uint64_t next_offset, double jumble,
                          Rng &rng);
 
+    /**
+     * Write @p n consecutive elements of an allocArray array to @p dst,
+     * drawing from @p rng.  A non-Zero kind draws exactly one
+     * Rng::next() per element, and an index kind over an empty range
+     * none; allocArray's Rng::discard relies on it.
+     */
+    static void writeElements(std::uint8_t *dst, std::uint64_t n,
+                              DataInit init, std::uint32_t elem_bytes,
+                              std::uint64_t range, Rng &rng);
+
     MainMemory &memory() { return memory_; }
 
   private:

@@ -298,6 +298,7 @@ Daemon::finishAttempt(Job &job, bool ok, FailureRecord failure)
         if (ok) {
             job.state = JobState::Done;
             completed_.fetch_add(1, std::memory_order_relaxed);
+            releaseLocked(job);
             terminal = true;
         } else {
             if (failure.code == "timeout_host")
@@ -310,6 +311,7 @@ Daemon::finishAttempt(Job &job, bool ok, FailureRecord failure)
             if (noRetry || job.attempt >= job.maxAttempts) {
                 job.state = JobState::DeadLetter;
                 deadLettered_.fetch_add(1, std::memory_order_relaxed);
+                releaseLocked(job);
                 terminal = true;
             } else {
                 requeueLocked(job);
@@ -331,6 +333,17 @@ Daemon::requeueLocked(Job &job)
     shards_[job.id % shards_.size()].push_back(&job);
     ++queuedCount_;
     retries_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void
+Daemon::releaseLocked(Job &job)
+{
+    // Swap with empties: assigning an empty string keeps the old
+    // buffer's capacity.  A job left in jobs_ for status queries then
+    // costs its record, not its program.
+    hir::Program program;
+    std::swap(job.prog, program);
+    std::string().swap(job.req.kernel);
 }
 
 std::uint64_t
@@ -569,6 +582,7 @@ Daemon::shutdownNow()
                 job->state = JobState::DeadLetter;
                 deadLettered_.fetch_add(1, std::memory_order_relaxed);
                 cancelled_.fetch_add(1, std::memory_order_relaxed);
+                releaseLocked(*job);
                 --queuedCount_;
             }
             shard.clear();

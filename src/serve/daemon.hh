@@ -205,8 +205,8 @@ class Daemon
     struct Job
     {
         std::uint64_t id = 0;
-        JobRequest req;
-        hir::Program prog;
+        JobRequest req;      ///< kernel text released when terminal
+        hir::Program prog;   ///< released when terminal
         CacheKey key;
         std::uint64_t resolvedMaxCycles = 0;
         std::uint32_t maxAttempts = 0;
@@ -235,6 +235,9 @@ class Daemon
     void runAttempt(Job &job);
     void finishAttempt(Job &job, bool ok, FailureRecord failure);
     void requeueLocked(Job &job);
+    /** Free what a terminal @p job no longer needs: its program and
+     *  inline kernel text.  Status, failures and result stay. */
+    void releaseLocked(Job &job);
     JobStatus snapshotLocked(const Job &job) const;
     std::uint64_t backoffMs(const Job &job) const;
     bool allTerminalLocked() const;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "isa/builder.hh"
 #include "program/code_buffer.hh"
@@ -178,6 +179,37 @@ TEST(DataLayout, IndexArrayWithinRange)
     Addr base = data.allocArray("idx", DataInit::Index, 8, 1000, 50, rng);
     for (int i = 0; i < 1000; ++i)
         EXPECT_LT(mem.readU64(base + static_cast<Addr>(i) * 8), 50u);
+}
+
+TEST(DataLayout, EveryInitKindDrawsOneValuePerElement)
+{
+    // allocArray hands each page a generator copy and discard()s the
+    // layout's generator past the page, so writing n elements must
+    // leave a copy exactly where discard(n) leaves it.
+    for (DataInit init : {DataInit::Zero, DataInit::RandomFp,
+                          DataInit::RandomInt, DataInit::Index,
+                          DataInit::FpIndex}) {
+        bool index = init == DataInit::Index || init == DataInit::FpIndex;
+        for (std::uint32_t elem_bytes : {4u, 8u}) {
+            for (std::uint64_t range : {std::uint64_t{0},
+                                        std::uint64_t{1000}}) {
+                for (std::uint64_t n : {1u, 300u, 8192u}) {
+                    bool draws = init != DataInit::Zero &&
+                                 !(index && range == 0);
+                    std::vector<std::uint8_t> buf(n * elem_bytes);
+                    Rng written(5), skipped(5);
+                    DataLayout::writeElements(buf.data(), n, init,
+                                              elem_bytes, range, written);
+                    skipped.discard(draws ? n : 0);
+                    for (int i = 0; i < 4; ++i)
+                        ASSERT_EQ(written.next(), skipped.next())
+                            << "kind " << static_cast<int>(init)
+                            << " elem " << elem_bytes << " range "
+                            << range << " n " << n;
+                }
+            }
+        }
+    }
 }
 
 /** Walking the next pointers must visit every node exactly once. */

@@ -546,6 +546,45 @@ TEST(ServeDaemon, InjectedAbortsRetryThenDeadLetter)
     EXPECT_EQ(daemon.deadLetters().size(), 1u);
 }
 
+TEST(ServeDaemon, RetriedJobKeepsItsProgramUntilDone)
+{
+    // A terminal job drops its program; a failed attempt that will be
+    // retried must not.  Pick a fault seed whose plan aborts this job's
+    // first attempt and spares its second.
+    DaemonConfig cfg = quickConfig();
+    cfg.faults.workerAbortRate = 0.5;
+    cfg.maxAttempts = 2;
+    JobRequest req = quickJob();
+    req.adore = true;
+    CacheKey key = CacheKey::fromCanonical(
+        canonicalKey(req, resolveTier(req), cfg.defaultMaxCycles));
+    for (cfg.faults.seed = 1;; ++cfg.faults.seed) {
+        fault::ServiceFaultPlan probe(cfg.faults);
+        if (probe.workerAborts(key.hi, 1) && !probe.workerAborts(key.hi, 2))
+            break;
+    }
+
+    Daemon daemon(cfg);
+    Daemon::SubmitResult res = daemon.submit(req);
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.cacheKey, key.hex());
+    ASSERT_TRUE(daemon.wait(res.id, 60'000));
+
+    std::optional<JobStatus> status = daemon.status(res.id);
+    ASSERT_TRUE(status);
+    ASSERT_EQ(status->state, JobState::Done);
+    EXPECT_EQ(status->attempts, 2u);
+    ASSERT_EQ(status->failures.size(), 1u);
+    EXPECT_EQ(status->failures[0].code, "injected_worker_abort");
+
+    hir::Program prog = workloads::make("gzip");
+    std::atomic<bool> never{false};
+    RunConfig oneShot = buildRunConfig(
+        req, &never, cfg.defaultMaxCycles, cfg.cancelCheckPeriod);
+    EXPECT_EQ(status->resultJson,
+              Experiment::metricsJson(Experiment::run(prog, oneShot)));
+}
+
 TEST(ServeDaemon, WorkerExceptionIsolatedFromOtherJobs)
 {
     // A malformed-at-runtime job: the kernel parses but the daemon's
