@@ -31,14 +31,19 @@
 # host.  An interpreter-tier chaos smoke keeps the legacy dispatch path
 # from rotting unexercised.
 #
-# Demand-paged data segment (DESIGN.md §8): seeded arrays reach memory
-# as deferred per-page fills that hold RNG snapshots and write raw page
-# bytes on a page's first touch; the ctest sweep pins their byte
-# identity (DataSegment.*) and how many pages exist (DataMaterialisation).
-# The layout generator skips each page with Rng::discard, a GF(2)
-# polynomial jump; Rng.* checks it against stepping, and the full
-# ASan+UBSan ctest runs Rng.* too, where a shift by 64 in the
-# polynomial arithmetic would be caught.
+# Demand-paged data segment (DESIGN.md §8): seeded arrays and linked
+# lists reach memory as deferred per-page fills that hold RNG snapshots
+# (and, for a list, a shared successor table) and write raw page bytes
+# on a page's first touch, so compile builds no data page; the ctest
+# sweep pins their byte identity (DataSegment.*, and
+# DataLayout.LazyListMatchesEagerBuild against the eager list writer)
+# and how many pages exist (DataMaterialisation).  The layout generator
+# jumps past each array and each list's payload draws with
+# Rng::discard, a GF(2) polynomial jump; Rng.* checks it against
+# stepping.  The full ASan+UBSan ctest runs Rng.*, where a shift by 64
+# in the polynomial arithmetic would be caught, and
+# DataLayout.ListPagesOutliveTheirLayout, where a fill that kept a
+# reference into its destroyed DataLayout would be.
 #
 # Hardware-prefetcher coverage (DESIGN.md §13): a --hwpf chaos smoke
 # soaks the static zoo and guardrailed ADORE on one shared bus under

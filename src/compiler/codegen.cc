@@ -72,21 +72,13 @@ CodeGen::layoutData(DataLayout &data)
 
     for (std::size_t i = 0; i < prog_.lists.size(); ++i) {
         const hir::ListDecl &list = prog_.lists[i];
+        std::optional<DataLayout::ListPayload> payload;
+        if (list.payloadIsPointer)
+            payload = DataLayout::ListPayload{list.payloadPtrOffset,
+                                              list.payloadPtrWindow};
         addrs_.listHead[i] = data.allocLinkedList(
             prog_.name + "." + list.name, list.count, list.nodeBytes,
-            list.nextOffset, list.jumble, rng);
-        if (list.payloadIsPointer) {
-            Addr base = data.addrOf(prog_.name + "." + list.name);
-            std::uint64_t window = list.payloadPtrWindow
-                                       ? list.payloadPtrWindow
-                                       : list.count;
-            for (std::uint64_t n = 0; n < list.count; ++n) {
-                Addr target = base + rng.below(window) * list.nodeBytes;
-                data.memory().writeU64(
-                    base + n * list.nodeBytes + list.payloadPtrOffset,
-                    target);
-            }
-        }
+            list.nextOffset, list.jumble, rng, payload);
     }
 }
 

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -26,6 +30,80 @@ fpBits(double v, std::uint32_t elem_bytes)
     std::memcpy(&bits, &v, 8);
     return bits;
 }
+
+/** End of the page segment that starts at @p seg, capped at @p end. */
+Addr
+segmentEnd(Addr seg, Addr end)
+{
+    return std::min(end, (seg & ~(MainMemory::pageBytes - 1)) +
+                             MainMemory::pageBytes);
+}
+
+/** The successor-table entry of a list's last node. */
+constexpr std::uint32_t kNoSuccessor =
+    std::numeric_limits<std::uint32_t>::max();
+
+/**
+ * The deferred fill of one page segment [seg, segEnd) of a linked list:
+ * the next field, then the payload field, of every node whose field
+ * lies in the segment.  Fields are 8-aligned, so none straddles the
+ * segment's ends.
+ */
+struct ListPageFill
+{
+    Addr base;  ///< the list's node 0
+    Addr seg;
+    Addr segEnd;
+    std::uint64_t count;
+    std::uint64_t nodeBytes;
+    std::uint64_t nextOffset;
+    /** Node index -> index of the node after it in traversal order. */
+    std::shared_ptr<const std::vector<std::uint32_t>> successor;
+    std::uint64_t payloadOffset;
+    std::uint64_t payloadWindow;  ///< 0: the list has no payload pointers
+    Rng payloadStart;  ///< the generator at node 0's payload draw
+
+    /** Nodes [first, last) whose field at @p offset lies in the segment. */
+    std::pair<std::uint64_t, std::uint64_t>
+    nodesWithField(std::uint64_t offset) const
+    {
+        auto firstAt = [&](Addr a) -> std::uint64_t {
+            Addr field0 = base + offset;
+            if (a <= field0)
+                return 0;
+            return std::min(count, (a - field0 + nodeBytes - 1) / nodeBytes);
+        };
+        return {firstAt(seg), firstAt(segEnd)};
+    }
+
+    void
+    store(std::uint8_t *dst, std::uint64_t node, std::uint64_t offset,
+          std::uint64_t value) const
+    {
+        std::memcpy(dst + (base + node * nodeBytes + offset - seg), &value, 8);
+    }
+
+    void
+    operator()(std::uint8_t *dst) const
+    {
+        // Next fields first: a payload field at the same offset
+        // overwrites them, as when the whole list was written at once.
+        auto [first, last] = nodesWithField(nextOffset);
+        for (std::uint64_t n = first; n < last; ++n) {
+            std::uint32_t s = (*successor)[n];
+            store(dst, n, nextOffset,
+                  s == kNoSuccessor ? 0 : base + s * nodeBytes);
+        }
+        if (payloadWindow == 0)
+            return;
+        std::tie(first, last) = nodesWithField(payloadOffset);
+        Rng rng = payloadStart;
+        rng.discard(first);
+        for (std::uint64_t n = first; n < last; ++n)
+            store(dst, n, payloadOffset,
+                  base + rng.below(payloadWindow) * nodeBytes);
+    }
+};
 
 } // namespace
 
@@ -102,18 +180,20 @@ DataLayout::allocArray(const std::string &name, DataInit init,
     if (init == DataInit::Zero || (index && range == 0))
         return base;
 
+    Rng start = rng;
+    rng.discard(count);
     Addr end = base + count * elem_bytes;
     for (Addr seg = base; seg < end;) {
-        Addr seg_end = std::min(
-            end, (seg & ~(MainMemory::pageBytes - 1)) + MainMemory::pageBytes);
+        Addr seg_end = segmentEnd(seg, end);
+        std::uint64_t first = (seg - base) / elem_bytes;
         std::uint64_t n = (seg_end - seg) / elem_bytes;
         memory_.deferFill(
             seg, seg_end - seg,
-            [start = rng, n, init, elem_bytes, range](
-                std::uint8_t *dst) mutable {
-                writeElements(dst, n, init, elem_bytes, range, start);
+            [start, first, n, init, elem_bytes, range](std::uint8_t *dst) {
+                Rng page = start;
+                page.discard(first);
+                writeElements(dst, n, init, elem_bytes, range, page);
             });
-        rng.discard(n);
         seg = seg_end;
     }
     return base;
@@ -123,15 +203,23 @@ Addr
 DataLayout::allocLinkedList(const std::string &name, std::uint64_t count,
                             std::uint64_t node_bytes,
                             std::uint64_t next_offset, double jumble,
-                            Rng &rng)
+                            Rng &rng, std::optional<ListPayload> payload)
 {
     panic_if(count == 0, "empty linked list");
-    panic_if(next_offset + 8 > node_bytes, "next pointer outside node");
+    panic_if(count >= kNoSuccessor, "list '%s' has too many nodes",
+             name.c_str());
+    panic_if(node_bytes < 8 || node_bytes % 8 != 0,
+             "list '%s': node size not a multiple of 8", name.c_str());
+    panic_if(next_offset % 8 != 0 || next_offset > node_bytes - 8,
+             "next pointer outside node or unaligned");
+    panic_if(payload && (payload->offset % 8 != 0 ||
+                         payload->offset > node_bytes - 8),
+             "payload pointer outside node or unaligned");
     panic_if(jumble < 0.0 || jumble > 1.0, "jumble outside [0,1]");
 
     Addr base = alloc(name, count * node_bytes);
 
-    std::vector<std::uint64_t> order(count);
+    std::vector<std::uint32_t> order(count);
     std::iota(order.begin(), order.end(), 0);
     if (jumble > 0.0) {
         for (std::uint64_t i = 0; i + 1 < count; ++i) {
@@ -141,11 +229,26 @@ DataLayout::allocLinkedList(const std::string &name, std::uint64_t count,
             }
         }
     }
+    auto successor = std::make_shared<std::vector<std::uint32_t>>(count);
+    for (std::uint64_t i = 0; i < count; ++i)
+        (*successor)[order[i]] = i + 1 < count ? order[i + 1] : kNoSuccessor;
 
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Addr node = base + order[i] * node_bytes;
-        Addr next = i + 1 < count ? base + order[i + 1] * node_bytes : 0;
-        memory_.writeU64(node + next_offset, next);
+    // Every payload draw is one below(window > 0), so one next().
+    Rng payload_start = rng;
+    std::uint64_t window = 0;
+    if (payload) {
+        window = payload->window ? payload->window : count;
+        rng.discard(count);
+    }
+
+    ListPageFill fill{base, 0, 0, count, node_bytes, next_offset,
+                      std::move(successor), payload ? payload->offset : 0,
+                      window, payload_start};
+    Addr end = base + count * node_bytes;
+    for (Addr seg = base; seg < end; seg = fill.segEnd) {
+        fill.seg = seg;
+        fill.segEnd = segmentEnd(seg, end);
+        memory_.deferFill(seg, fill.segEnd - seg, fill);
     }
     return base + order[0] * node_bytes;
 }

@@ -10,6 +10,7 @@
 #define ADORE_PROGRAM_DATA_LAYOUT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -54,20 +55,36 @@ class DataLayout
      * exactly one Rng::next() draw, except that an Index kind over an
      * empty range draws none and stays zero.
      *
-     * The contents are demand-paged: one MainMemory::deferFill per page
-     * the array spans, holding a copy of @p rng taken at that segment's
-     * first element, while @p rng itself is advanced past the segment.
-     * Any later read, and the state @p rng is left in, are therefore
-     * byte-identical to writing every element now, but a page the
-     * program never touches is never built.
+     * The contents are demand-paged.  The array keeps one copy of
+     * @p rng taken at its first element and jumps @p rng past all of
+     * its draws (Rng::discard); each page the array spans gets one
+     * MainMemory::deferFill that jumps its own copy to the page's
+     * first element when the page is first touched.  Any later read,
+     * and the state @p rng is left in, are therefore byte-identical to
+     * writing every element now, but a page the program never touches
+     * is never built.
      */
     Addr allocArray(const std::string &name, DataInit init,
                     std::uint32_t elem_bytes, std::uint64_t count,
                     std::uint64_t range, Rng &rng, std::uint64_t align = 64);
 
     /**
+     * Payload pointers of a linked list: the 8-byte field at @ref offset
+     * of every node holds the address of a random node among the
+     * list's first @ref window nodes (0 = the whole list), drawn in
+     * node address order after the list's layout (mcf's arc->tail).
+     */
+    struct ListPayload
+    {
+        std::uint64_t offset = 8;
+        std::uint64_t window = 0;
+    };
+
+    /**
      * Allocate a singly-linked list of @p count nodes of @p node_bytes
-     * each.  The next pointer lives at offset @p next_offset.
+     * each (a multiple of 8).  The next pointer lives at the 8-aligned
+     * offset @p next_offset, and @p payload, when given, adds payload
+     * pointers at its own 8-aligned offset.
      *
      * @p jumble controls layout regularity: 0.0 lays nodes out in
      * traversal order (constant inter-node stride — the "partially
@@ -76,12 +93,21 @@ class DataLayout
      * randomly displace that fraction of nodes, so a delta-based
      * prefetch is right roughly (1-jumble)^k for a k-ahead guess.
      *
+     * Like allocArray, the nodes are demand-paged.  The traversal
+     * order is drawn now, into a successor table the list's page
+     * fills share; @p rng then jumps past the payload draws, and each
+     * page's fill writes its nodes' next fields and then their payload
+     * fields, jumping a copy of the payload generator to its first
+     * node.  Reads and the state @p rng is left in match writing the
+     * whole list now.
+     *
      * @return address of the head node.
      */
     Addr allocLinkedList(const std::string &name, std::uint64_t count,
                          std::uint64_t node_bytes,
                          std::uint64_t next_offset, double jumble,
-                         Rng &rng);
+                         Rng &rng,
+                         std::optional<ListPayload> payload = std::nullopt);
 
     /**
      * Write @p n consecutive elements of an allocArray array to @p dst,

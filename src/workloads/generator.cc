@@ -109,7 +109,18 @@ validateProgram(const hir::Program &prog, std::uint64_t max_data_bytes)
     if (prog.sequence.empty())
         return "program has an empty phase sequence";
 
+    // Adds @p count regions of @p size bytes to the working set, or
+    // reports the bound passed.  Dividing instead of multiplying keeps
+    // a huge count from wrapping the sum.
     std::uint64_t data_bytes = 0;
+    auto addData = [&](std::uint64_t count, std::uint64_t size) {
+        if (count > (max_data_bytes - data_bytes) / size) {
+            return fmt("working set exceeds the %" PRIu64 "-byte bound",
+                       max_data_bytes);
+        }
+        data_bytes += count * size;
+        return std::string();
+    };
     for (std::size_t i = 0; i < prog.arrays.size(); ++i) {
         const hir::ArrayDecl &a = prog.arrays[i];
         std::string who = fmt("array %zu ('%s')", i, a.name.c_str());
@@ -124,7 +135,8 @@ validateProgram(const hir::Program &prog, std::uint64_t max_data_bytes)
             a.indexRange == 0) {
             return who + ": index array with zero indexRange";
         }
-        data_bytes += a.bytes();
+        if (std::string err = addData(a.count, a.elemBytes); !err.empty())
+            return who + ": " + err;
     }
     for (std::size_t i = 0; i < prog.lists.size(); ++i) {
         const hir::ListDecl &l = prog.lists[i];
@@ -137,18 +149,16 @@ validateProgram(const hir::Program &prog, std::uint64_t max_data_bytes)
             return who + fmt(": node size %" PRIu64
                              " under 16 or not 8-aligned",
                              l.nodeBytes);
-        if (l.nextOffset + 8 > l.nodeBytes)
-            return who + ": next pointer outside the node";
+        // 8-aligned fields in 8-aligned nodes never straddle a page.
+        if (l.nextOffset > l.nodeBytes - 8 || l.nextOffset % 8 != 0)
+            return who + ": next pointer outside the node or unaligned";
         if (l.jumble < 0.0 || l.jumble > 1.0)
             return who + ": jumble outside [0,1]";
-        if (l.payloadIsPointer && l.payloadPtrOffset + 8 > l.nodeBytes)
-            return who + ": payload pointer outside the node";
-        data_bytes += l.count * l.nodeBytes;
-    }
-    if (data_bytes > max_data_bytes) {
-        return fmt("working set %" PRIu64 " bytes exceeds the %" PRIu64
-                   "-byte bound",
-                   data_bytes, max_data_bytes);
+        if (l.payloadIsPointer && (l.payloadPtrOffset > l.nodeBytes - 8 ||
+                                   l.payloadPtrOffset % 8 != 0))
+            return who + ": payload pointer outside the node or unaligned";
+        if (std::string err = addData(l.count, l.nodeBytes); !err.empty())
+            return who + ": " + err;
     }
     // Arrays and lists share the DataLayout region namespace, so names
     // must be unique across both.

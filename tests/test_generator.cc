@@ -138,6 +138,50 @@ TEST(Generator, ParserRejectsMalformedKernels)
     }
 }
 
+TEST(Generator, ParserRejectsOverflowingDataDeclarations)
+{
+    // Each of these once passed validation through uint64 wraparound:
+    // next=2^64-8 wrapped `next + 8` to 0 and left every next pointer 8
+    // bytes before its node, and count * size wrapped the working set
+    // to 0 so that every run threw std::length_error.
+    const std::string head =
+        "kernel v1\nname k\n"
+        "array a elem=8 count=546 fp=1 param=0 init=1 range=0\n";
+    const std::string tail =
+        "loop l trip=3 fpops=0 intops=0 call=0 chunks=1 pad=0\n"
+        "ref loop=0 array=0 stride=1 offset=0 store=0 index=-1 "
+        "fpconv=0\n"
+        "phase repeat=1 loops=0\nend\n";
+    auto list = [](const std::string &fields) {
+        return "list n " + fields + " jumble=0 ptr_window=0\n";
+    };
+    hir::Program out;
+    std::string err;
+    ASSERT_TRUE(workloads::parseProgram(
+        head + list("count=100 node=16 next=8 payload_ptr=1 ptr_off=0") +
+            tail,
+        out, err))
+        << err;
+    for (const std::string &bad : {
+             list("count=100 node=16 next=18446744073709551608 "
+                  "payload_ptr=0 ptr_off=8"),
+             list("count=4611686018427387904 node=16 next=0 "
+                  "payload_ptr=0 ptr_off=8"),
+             list("count=100 node=16 next=0 payload_ptr=1 "
+                  "ptr_off=18446744073709551608"),
+             // Unaligned fields: at 4 an 8-byte field could straddle a
+             // 64 KiB page.
+             list("count=100 node=16 next=4 payload_ptr=0 ptr_off=8"),
+             list("count=100 node=16 next=0 payload_ptr=1 ptr_off=4"),
+             std::string("array b elem=8 count=2305843009213693952 fp=0 "
+                         "param=0 init=0 range=0\n"),
+         }) {
+        EXPECT_FALSE(workloads::parseProgram(head + bad + tail, out, err))
+            << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+}
+
 /**
  * Kernel files are untrusted input (`adore_fuzz --replay`): every byte
  * mutant of the committed corpus reproducer must parse to a program

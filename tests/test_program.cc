@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/builder.hh"
@@ -275,6 +279,161 @@ TEST(DataLayout, JumbledListBreaksStride)
         p = next;
     }
     EXPECT_LT(sequential, 50);  // a full shuffle is rarely sequential
+}
+
+/**
+ * The list writer compile ran before lists were demand-paged: draw the
+ * node order, write every next pointer, then every payload pointer.
+ * It stays here as the oracle the per-page fills must match.
+ */
+Addr
+eagerLinkedList(DataLayout &data, const std::string &name,
+                std::uint64_t count, std::uint64_t node_bytes,
+                std::uint64_t next_offset, double jumble, Rng &rng,
+                std::optional<DataLayout::ListPayload> payload)
+{
+    Addr base = data.alloc(name, count * node_bytes);
+    std::vector<std::uint64_t> order(count);
+    std::iota(order.begin(), order.end(), 0);
+    if (jumble > 0.0) {
+        for (std::uint64_t i = 0; i + 1 < count; ++i) {
+            if (rng.real() < jumble) {
+                std::uint64_t j = i + rng.below(count - i);
+                std::swap(order[i], order[j]);
+            }
+        }
+    }
+    MainMemory &mem = data.memory();
+    for (std::uint64_t i = 0; i < count; ++i) {
+        Addr node = base + order[i] * node_bytes;
+        Addr next = i + 1 < count ? base + order[i + 1] * node_bytes : 0;
+        mem.writeU64(node + next_offset, next);
+    }
+    if (payload) {
+        std::uint64_t window = payload->window ? payload->window : count;
+        for (std::uint64_t n = 0; n < count; ++n) {
+            Addr target = base + rng.below(window) * node_bytes;
+            mem.writeU64(base + n * node_bytes + payload->offset, target);
+        }
+    }
+    return base + order[0] * node_bytes;
+}
+
+/**
+ * Every word of the first @p bytes of two data segments must agree.
+ * @p lazy is read from the last word back, so its pages materialise
+ * last page first, against the order the fills were registered in.
+ */
+void
+expectSameSegment(MainMemory &lazy, MainMemory &eager, std::uint64_t bytes)
+{
+    for (Addr a = DataLayout::dataBase + (bytes + 7) / 8 * 8;
+         a > DataLayout::dataBase;) {
+        a -= 8;
+        ASSERT_EQ(lazy.readU64(a), eager.readU64(a))
+            << "word at +" << a - DataLayout::dataBase;
+    }
+}
+
+/** The generators must be in the same state: their next draws agree. */
+void
+expectSameGenerator(Rng a, Rng b)
+{
+    for (int i = 0; i < 4; ++i)
+        ASSERT_EQ(a.next(), b.next());
+}
+
+struct ListCase
+{
+    std::uint64_t nodeBytes;
+    std::uint64_t nextOffset;
+    double jumble;
+    std::optional<DataLayout::ListPayload> payload;
+    bool betweenArrays;  ///< share its first and last page with arrays
+};
+
+TEST(DataLayout, LazyListMatchesEagerBuild)
+{
+    // 1500 nodes of 144 or 160 bytes span four 64 KiB pages, and nodes
+    // straddle every page boundary.
+    constexpr std::uint64_t kNodes = 1500;
+    std::vector<ListCase> cases;
+    for (double jumble : {0.0, 0.12, 1.0}) {
+        for (bool payload : {false, true}) {
+            cases.push_back(
+                {144, 8, jumble,
+                 payload ? std::optional(DataLayout::ListPayload{136, 0})
+                         : std::nullopt,
+                 false});
+            cases.push_back(
+                {160, 0, jumble,
+                 payload ? std::optional(DataLayout::ListPayload{16, 100})
+                         : std::nullopt,
+                 false});
+        }
+    }
+    cases.push_back({144, 8, 0.12, DataLayout::ListPayload{136, 0}, true});
+    // A payload field on the next field overwrites it.
+    cases.push_back({160, 16, 1.0, DataLayout::ListPayload{16, 0}, false});
+
+    for (const ListCase &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "node " << c.nodeBytes << " jumble " << c.jumble
+                     << " payload " << c.payload.has_value()
+                     << " arrays " << c.betweenArrays);
+        MainMemory lazy_mem, eager_mem;
+        DataLayout lazy(lazy_mem), eager(eager_mem);
+        Rng lazy_rng(9), eager_rng(9);
+        auto arrays = [&c](DataLayout &data, Rng &rng, const char *name) {
+            if (c.betweenArrays)
+                data.allocArray(name, DataInit::RandomFp, 8, 1000, 0, rng);
+        };
+        arrays(lazy, lazy_rng, "before");
+        arrays(eager, eager_rng, "before");
+        Addr lazy_head =
+            lazy.allocLinkedList("list", kNodes, c.nodeBytes, c.nextOffset,
+                                 c.jumble, lazy_rng, c.payload);
+        Addr eager_head =
+            eagerLinkedList(eager, "list", kNodes, c.nodeBytes,
+                            c.nextOffset, c.jumble, eager_rng, c.payload);
+        arrays(lazy, lazy_rng, "after");
+        arrays(eager, eager_rng, "after");
+
+        EXPECT_EQ(lazy_mem.allocatedPages(), 0u);
+        EXPECT_EQ(lazy_head, eager_head);
+        ASSERT_EQ(lazy.bytesUsed(), eager.bytesUsed());
+        expectSameSegment(lazy_mem, eager_mem, lazy.bytesUsed());
+        expectSameGenerator(lazy_rng, eager_rng);
+    }
+}
+
+TEST(DataLayout, ListPagesOutliveTheirLayout)
+{
+    // Fills own what they read (the successor table, the generator
+    // copies), so pages still materialise right after the DataLayout
+    // that registered them is gone.  Under ASan a fill that kept a
+    // reference into the layout fails here.
+    MainMemory lazy_mem, eager_mem;
+    Rng lazy_rng(11), eager_rng(11);
+    const DataLayout::ListPayload payload{8, 0};
+    Addr lazy_head = 0;
+    std::uint64_t bytes = 0;
+    {
+        DataLayout lazy(lazy_mem);
+        lazy_head = lazy.allocLinkedList("l", 1500, 160, 0, 0.3, lazy_rng,
+                                         payload);
+        lazy.allocArray("a", DataInit::Index, 4, 5000, 77, lazy_rng);
+        bytes = lazy.bytesUsed();
+    }
+    DataLayout eager(eager_mem);
+    Addr eager_head =
+        eagerLinkedList(eager, "l", 1500, 160, 0, 0.3, eager_rng, payload);
+    eager.allocArray("a", DataInit::Index, 4, 5000, 77, eager_rng);
+
+    EXPECT_EQ(lazy_mem.allocatedPages(), 0u);
+    ASSERT_EQ(lazy_head, eager_head);
+    checkTraversal(lazy_mem, lazy_head, 1500, 160);
+    expectSameSegment(lazy_mem, eager_mem, bytes);
 }
 
 } // namespace

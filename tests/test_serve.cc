@@ -520,6 +520,22 @@ TEST(ServeDaemon, InvalidRequestsRejectedStructured)
     res = daemon.submit(badKernel);
     EXPECT_FALSE(res.ok);
     EXPECT_EQ(res.error, "invalid_request");
+
+    // A kernel whose list size wraps the working-set sum to 0.
+    JobRequest wrapped;
+    wrapped.kernel =
+        "kernel v1\nname k\n"
+        "array a elem=8 count=546 fp=1 param=0 init=1 range=0\n"
+        "list n count=4611686018427387904 node=16 next=0 jumble=0 "
+        "payload_ptr=0 ptr_off=8 ptr_window=0\n"
+        "loop l trip=3 fpops=0 intops=0 call=0 chunks=1 pad=0\n"
+        "ref loop=0 array=0 stride=1 offset=0 store=0 index=-1 fpconv=0\n"
+        "phase repeat=1 loops=0\nend\n";
+    res = daemon.submit(wrapped);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.error, "invalid_request");
+    EXPECT_NE(res.detail.find("working set"), std::string::npos)
+        << res.detail;
 }
 
 TEST(ServeDaemon, InjectedAbortsRetryThenDeadLetter)
