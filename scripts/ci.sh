@@ -46,7 +46,7 @@
 # reference into its destroyed DataLayout would be.
 #
 # Hardware-prefetcher coverage (DESIGN.md §13): a --hwpf chaos smoke
-# soaks the static zoo and guardrailed ADORE on one shared bus under
+# soaks the static zoo and guarded ADORE on one shared bus under
 # the fault schedule, and the --regen-experiments --check gate below
 # also covers the generated hwpf_study block.
 #
@@ -79,15 +79,16 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 # Chaos smoke: 3 workloads x 5 fixed fault seeds under the default
-# moderate fault schedule, baseline vs ADORE+guardrails.  Fails when any
-# run crashes, any metric set is self-inconsistent, or the guardrailed
-# CPI exceeds the margin against the no-ADORE baseline (DESIGN.md §10).
+# moderate fault schedule, baseline vs ADORE with the revert guardrail.
+# Fails when any run crashes, any metric set is self-inconsistent, the
+# guarded CPI exceeds the margin against the no-ADORE baseline, or the
+# stall channel never trips the watchdog (DESIGN.md §10).
 # Runs once per execution tier: direct-threaded (the default) and the
-# interpreter, so a tier-specific crash or guardrail miss fails CI no
+# interpreter, so a tier-specific crash or margin miss fails CI no
 # matter which tier a user has configured.  A third pass soaks the
 # hardware-prefetcher zoo (--hwpf): both runs of every pair get the
 # static zoo, so the CPI margin checks hw+ADORE against an hw-only
-# baseline while guardrailed ADORE shares the bus with the engines
+# baseline while guarded ADORE shares the bus with the engines
 # under the fault schedule (DESIGN.md §13).
 "$BUILD_DIR"/tools/adore_chaos --smoke --max-cycles 8000000 \
     --exec-tier direct
@@ -98,7 +99,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 # Fuzz smoke (DESIGN.md §14): 50 fixed-seed generated programs through
 # the full differential arm matrix — bit-identity across the promised
-# toggles, self-consistency everywhere, guardrail CPI margin on the
+# toggles, self-consistency everywhere, the CPI margin on the
 # chaos pair, quietCycleLimit watchdog on every run.  Programs are
 # deterministic functions of their seeds, so this gate is stable; a
 # failure prints a JSON summary naming program/seed/arm.  The committed

@@ -219,8 +219,8 @@ class FaultPlan
  * Service-layer fault channels (DESIGN.md §15): the failures the adored
  * serving daemon injects into *itself* — queue scheduling stalls,
  * worker aborts, and cache corruption-on-read — to prove the serving
- * infrastructure self-heals the same way the simulated machine's
- * guardrails do.
+ * infrastructure recovers the way the simulated runtime recovers from
+ * its own injected faults.
  *
  * Unlike the per-run FaultPlan channels above, these are drawn from
  * many worker threads at once, so they are *stateless*: every decision

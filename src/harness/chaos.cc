@@ -122,7 +122,7 @@ Experiment::runChaos(const ChaosSpec &spec)
             RunConfig chaotic = base;
             chaotic.adore = true;
             chaotic.adoreConfig = defaultAdoreConfig();
-            chaotic.adoreConfig.guardrails.enabled = true;
+            chaotic.adoreConfig.guardrails = true;
             chaotic.adoreConfig.tracePoolCapacityBundles =
                 spec.poolCapacityBundles;
 
@@ -149,8 +149,9 @@ Experiment::runChaos(const ChaosSpec &spec)
                     "ADORE was not attached");
             require(report, r, "chaotic", r.chaotic.guardrailsUsed,
                     "guardrails were not enabled");
-            CpiMarginVerdict margin = checkCpiMargin(
-                r.baseline.cpi, r.chaotic.cpi, spec.cpiMargin);
+            invariants::CpiMarginVerdict margin =
+                invariants::checkCpiMargin(r.baseline.cpi, r.chaotic.cpi,
+                                           spec.cpiMargin);
             if (margin.applicable) {
                 require(report, r, "pair", margin.ok,
                         fmt("cpi margin exceeded: %.3f > %.3f * %.2f",
@@ -168,7 +169,7 @@ Experiment::runChaos(const ChaosSpec &spec)
     if (spec.faults.optimizerStallRate > 0.0 && !report.runs.empty()) {
         std::uint64_t fires = 0;
         for (const ChaosRunResult &r : report.runs)
-            fires += r.chaotic.guardrailStats.watchdogFires;
+            fires += r.chaotic.adoreStats.phasesWatchdogCancelled;
         if (fires == 0) {
             report.violations.push_back(
                 {"<sweep>", 0, "<sweep>",
@@ -184,23 +185,20 @@ ChaosReport::table() const
 {
     std::string out;
     out += "workload       seed  base-cpi  chaos-cpi  ratio  faults  "
-           "reverts  throttle  rejects  watchdog\n";
+           "reverts  rejects  watchdog\n";
     for (const ChaosRunResult &r : runs) {
-        const GuardrailStats &g = r.chaotic.guardrailStats;
+        const AdoreStats &a = r.chaotic.adoreStats;
         out += fmt(
-            "%-13s %5llu  %8.3f  %9.3f  %5.3f  %6llu  %7llu  %8llu  "
-            "%7llu  %8llu\n",
+            "%-13s %5llu  %8.3f  %9.3f  %5.3f  %6llu  %7llu  %7llu  "
+            "%8llu\n",
             r.workload.c_str(),
             static_cast<unsigned long long>(r.seed), r.baseline.cpi,
             r.chaotic.cpi, r.cpiRatio(),
             static_cast<unsigned long long>(r.chaotic.faultStats.total()),
-            static_cast<unsigned long long>(g.stagedReverts +
-                                            g.fullReverts),
-            static_cast<unsigned long long>(g.prefetchDamped +
-                                            g.prefetchDisabled),
-            static_cast<unsigned long long>(g.poolExhaustedRejects +
-                                            g.patchFailures),
-            static_cast<unsigned long long>(g.watchdogFires));
+            static_cast<unsigned long long>(a.tracesUnpatched),
+            static_cast<unsigned long long>(a.tracesRejectedPoolFull +
+                                            a.tracesPatchFailed),
+            static_cast<unsigned long long>(a.phasesWatchdogCancelled));
     }
     if (violations.empty()) {
         out += fmt("\n%zu runs, all invariants held\n", runs.size());

@@ -11,19 +11,19 @@
  *    behaviour under faults against a fairly-degraded machine rather
  *    than a pristine one (the PMU and patching channels never fire
  *    without a sampler/optimizer attached);
- *  - *chaotic*: ADORE attached with guardrails enabled under the full
- *    fault schedule.
+ *  - *chaotic*: ADORE attached with the guardrail enabled under the
+ *    full fault schedule.
  *
  * Invariants checked per pair (violations are collected, not fatal):
  *
  *  1. no crashes — any panic aborts the process, so merely completing
  *     the sweep proves this; each run must also retire instructions;
  *  2. metrics self-consistent — CPI is exactly cycles/retired, revert
- *     stats never exceed patch stats, prefetch stats are internally
- *     ordered, and guardrail counters agree with runtime counters;
- *  3. CPI margin — chaotic CPI <= baseline CPI * cpiMargin: the
- *     guardrails must keep a faulted optimizer from regressing the
- *     program materially below the no-ADORE baseline.
+ *     stats never exceed patch stats, and the runtime saw no more
+ *     patch failures than were injected;
+ *  3. CPI margin — chaotic CPI <= baseline CPI * cpiMargin: a faulted,
+ *     guarded optimizer must not regress the program materially below
+ *     the no-ADORE baseline.
  *
  * Determinism: FaultPlan draws from per-channel streams seeded only by
  * ChaosSpec seeds and the optimizer runs inside the simulation's poll
@@ -68,7 +68,7 @@ struct ChaosSpec
     ExecTier execTier = CpuConfig().execTier;
     /** Enable the hardware-prefetcher zoo on *both* runs of every pair
      *  (adore_chaos --hwpf): the CPI margin then compares hw+ADORE
-     *  against an hw-only baseline, with guardrailed ADORE and the
+     *  against an hw-only baseline, with guarded ADORE and the
      *  static zoo sharing one bus under the fault schedule. */
     bool hwPrefetch = false;
 
@@ -84,7 +84,7 @@ struct ChaosRunResult
     std::string workload;
     std::uint64_t seed = 0;
     RunMetrics baseline;  ///< no ADORE, same memory-fault schedule
-    RunMetrics chaotic;   ///< ADORE + guardrails under the full schedule
+    RunMetrics chaotic;   ///< ADORE + guardrail under the full schedule
 
     double
     cpiRatio() const

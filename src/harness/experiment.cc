@@ -156,10 +156,7 @@ Experiment::run(const hir::Program &prog, const RunConfig &cfg)
         adore->detach();
         out.adoreStats = adore->stats();
         out.samplerStats = adore->sampler().stats();
-        if (adore->guardrails()) {
-            out.guardrailsUsed = true;
-            out.guardrailStats = adore->guardrails()->stats();
-        }
+        out.guardrailsUsed = adore->config().guardrails;
     }
     if (const HwPrefetchEngine *hw = machine.caches().hwPrefetch()) {
         out.hwPrefetchUsed = true;
@@ -262,9 +259,6 @@ Experiment::collectMetrics(observe::MetricsRegistry &registry,
         add("fault.total", static_cast<double>(metrics.faultStats.total()),
             "total injected faults across all channels");
     }
-
-    if (metrics.guardrailsUsed)
-        addStats(registry, "guardrail.", metrics.guardrailStats);
 
     // Gated on hwPrefetchUsed so runs without the engine keep a
     // byte-identical metric set (the bit-identity and golden tests

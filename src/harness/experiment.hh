@@ -97,8 +97,7 @@ struct RunMetrics
     std::uint64_t regionGenBumps = 0;
     bool faultsUsed = false;        ///< a FaultPlan was constructed
     fault::FaultStats faultStats;   ///< per-channel injection counts
-    bool guardrailsUsed = false;    ///< guardrails were enabled
-    GuardrailStats guardrailStats;
+    bool guardrailsUsed = false;    ///< the guardrail was enabled
     bool hwPrefetchUsed = false;    ///< hw-prefetch engine constructed
     HwPrefetchStats hwpfStats;      ///< per-prefetcher counters
     HierarchyStats memStats;
@@ -222,7 +221,7 @@ class Experiment
 
     /**
      * Chaos soak (harness/chaos.hh): run every workload × fault seed of
-     * @p spec twice (no-ADORE baseline and guardrailed chaotic run) and
+     * @p spec twice (no-ADORE baseline and guarded chaotic run) and
      * check the survival invariants.  Defined in chaos.cc.
      */
     static ChaosReport runChaos(const ChaosSpec &spec);

@@ -27,7 +27,7 @@ fmt(const char *format, Args... args)
  * One configuration arm of the differential matrix.  identityWith
  * names the arm this one must be bit-identical to (the toggles the
  * piecewise tests already prove on the hand kernels); marginBaseline
- * names the arm the guardrail CPI margin compares against.
+ * names the arm the CPI margin compares against.
  */
 struct ArmDef
 {
@@ -36,7 +36,7 @@ struct ArmDef
     int identityWith = -1;
     bool compareAdore = false;  ///< include ADORE stats in the diff
     int marginBaseline = -1;
-    bool requireAdore = false;  ///< run must report adore+guardrails
+    bool requireAdore = false;  ///< run must report adore+guardrail
 };
 
 std::vector<ArmDef>
@@ -90,7 +90,7 @@ buildArms(const FuzzSpec &spec, std::uint64_t seed)
 
     if (spec.withChaos) {
         // 6/7: the chaos pair — one shared fault schedule, baseline
-        // without ADORE vs guardrailed ADORE, CPI margin between them.
+        // without ADORE vs guarded ADORE, CPI margin between them.
         ArmDef chaosBase{"chaos_base", base};
         chaosBase.cfg.faults = spec.faults;
         chaosBase.cfg.faults.seed = seed;
@@ -99,7 +99,7 @@ buildArms(const FuzzSpec &spec, std::uint64_t seed)
         ArmDef chaosAdore{"chaos_adore", chaosBase.cfg};
         chaosAdore.cfg.adore = true;
         chaosAdore.cfg.adoreConfig = Experiment::defaultAdoreConfig();
-        chaosAdore.cfg.adoreConfig.guardrails.enabled = true;
+        chaosAdore.cfg.adoreConfig.guardrails = true;
         chaosAdore.cfg.adoreConfig.tracePoolCapacityBundles =
             spec.poolCapacityBundles;
         chaosAdore.marginBaseline =
@@ -171,8 +171,8 @@ evaluateProgram(FuzzReport &report, const FuzzSpec &spec,
         if (arm.marginBaseline >= 0) {
             const RunMetrics &bm =
                 results[static_cast<std::size_t>(arm.marginBaseline)];
-            CpiMarginVerdict v =
-                checkCpiMargin(bm.cpi, m.cpi, spec.cpiMargin);
+            invariants::CpiMarginVerdict v =
+                invariants::checkCpiMargin(bm.cpi, m.cpi, spec.cpiMargin);
             if (v.applicable && !v.ok) {
                 violate(fmt("%s vs %s", arm.name,
                             arms[static_cast<std::size_t>(

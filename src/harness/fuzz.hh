@@ -19,8 +19,9 @@
  *    pair only when either side was cut off by the budget, since a
  *    cutoff is not a completed program;
  *  - *metric self-consistency*: every arm, via harness/invariants.hh;
- *  - *guardrail CPI margin*: the chaos pair must satisfy
- *    checkCpiMargin (runtime/guardrails.hh) like the chaos soak does.
+ *  - *CPI margin*: the chaos pair must satisfy
+ *    invariants::checkCpiMargin (harness/invariants.hh) like the chaos
+ *    soak does.
  *
  * When a program trips an invariant, Fuzzer::shrink greedily walks
  * workloads::shrinkSteps, keeping any reduction that still fails and

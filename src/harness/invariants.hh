@@ -3,15 +3,17 @@
  * Run-metric invariants shared by the chaos soak (harness/chaos.cc) and
  * the property-based fuzz harness (harness/fuzz.cc).
  *
- * Both harnesses make the same two kinds of claims about a finished
- * simulation:
+ * Both harnesses make the same three kinds of claims about finished
+ * simulations:
  *
  *  - *self-consistency*: one run's metric set must be internally
  *    coherent (CPI is exactly cycles/retired, cache counters nest,
- *    runtime and guardrail counters agree, ...);
+ *    revert counters stay below patch counters, ...);
  *  - *bit-identity*: two runs differing only in a toggle that promises
  *    identity (fastPath, execution tier) must agree on every simulated
- *    counter.
+ *    counter;
+ *  - *CPI margin*: a guarded ADORE run under faults must stay within a
+ *    margin of the unoptimized baseline's CPI.
  *
  * Checks append one-line diagnostics instead of asserting, so callers
  * can collect violations across a sweep and report them together.
@@ -28,12 +30,28 @@
 namespace adore::invariants
 {
 
+/** Verdict of the after-the-fact CPI-margin gate. */
+struct CpiMarginVerdict
+{
+    bool applicable = false;  ///< the baseline CPI was measurable
+    bool ok = true;
+};
+
+/**
+ * The invariant the guardrail exists to uphold, evaluated post-run: a
+ * guarded run's CPI must stay within @p margin times the unoptimized
+ * baseline's.  An unmeasurable baseline (no retired instructions)
+ * makes the check inapplicable rather than vacuously passing.
+ */
+CpiMarginVerdict checkCpiMargin(double baseline_cpi, double guarded_cpi,
+                                double margin);
+
 /**
  * Append a "<prefix><problem>" line to @p out for every internal
  * inconsistency in @p m: CPI not cycles/retired, zero retired
  * instructions, cache hits+misses above accesses, revert/patch stat
- * ordering, and (when used) guardrail counters disagreeing with the
- * runtime's or fault-injection accounting.
+ * ordering, and (when faults are injected) more patch failures than
+ * injected.
  */
 void checkSelfConsistent(const RunMetrics &m, const std::string &prefix,
                          std::vector<std::string> &out);
@@ -63,7 +81,6 @@ forEachStatBlock(F &&f)
     f("tier", [](auto &m) -> auto & { return m.superblockStats; }, false);
     f("adore", [](auto &m) -> auto & { return m.adoreStats; }, true);
     f("pmu", [](auto &m) -> auto & { return m.samplerStats; }, true);
-    f("guardrail", [](auto &m) -> auto & { return m.guardrailStats; }, true);
 }
 
 /**
@@ -72,9 +89,9 @@ forEachStatBlock(F &&f)
  * DEAR misses, region-generation bumps, whether faults were on, and
  * every Sim field of every counter block, named "<block>.<member>"
  * (e.g. "l1d.misses").  Host fields are never compared.  The runtime's
- * blocks (ADORE, PMU sampler, guardrails, and whether guardrails were
- * on) are compared only with @p compare_adore set, for pairs where
- * both runs attach the runtime.
+ * blocks (ADORE, PMU sampler, and whether the guardrail was on) are
+ * compared only with @p compare_adore set, for pairs where both runs
+ * attach the runtime.
  */
 void diffIdentity(const RunMetrics &a, const RunMetrics &b,
                   bool compare_adore, std::vector<std::string> &out);

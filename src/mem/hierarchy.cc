@@ -68,8 +68,8 @@ CacheHierarchy::issueHwCandidates(Cycle now)
         const HwPrefetchEngine::Candidate &c = hwpf_->candidate(i);
         // Same throttle budget as software prefetch(): hardware and
         // ADORE lfetches contend for prefetchQueueDepth and the bus,
-        // but drops are charged to the per-prefetcher hw counters so
-        // the guardrail's software drop-rate machine stays clean.
+        // but drops are charged to the per-prefetcher hw counters, not
+        // to the software prefetchesDropped.
         if (busFreeAt_ >
             now + static_cast<Cycle>(config_.prefetchQueueDepth) *
                       config_.busOccupancy) {

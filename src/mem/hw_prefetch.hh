@@ -30,8 +30,7 @@
  *
  * The configuration is static: each prefetcher runs at its configured
  * on/off state and degree for the whole run.  Per-prefetcher
- * issue/drop/useless counters are exported, and the guardrails count
- * hardware drops into the shared-bus drop rate (DESIGN.md §13).
+ * issue/drop/useless counters are exported (DESIGN.md §13).
  *
  * Everything is behind HierarchyConfig::hwPrefetch.enabled: off (the
  * default) constructs no engine and adds one null check on the demand

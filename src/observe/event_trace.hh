@@ -128,15 +128,13 @@ struct TraceRevertedEvent
     std::uint64_t origAddr = 0;
 };
 
-/** A self-healing guardrail changed the runtime's behaviour. */
+/** The runtime absorbed a recoverable failure and kept running. */
 struct GuardrailEvent
 {
-    /** "staged-revert" | "full-revert" | "reopt-blocked" |
-     *  "reopt-blacklist" | "sampling-backoff" | "sampling-restore" |
-     *  "prefetch-damped" | "prefetch-disabled" | "prefetch-restored" |
-     *  "pool-exhausted" | "patch-failed" | "watchdog-cancel" */
+    /** "pool-exhausted" | "patch-failed" (value: the trace's bundles)
+     *  or "watchdog-cancel" (value: the stall in cycles) */
     const char *action = "";
-    std::uint64_t addr = 0;   ///< affected trace head / pc (0 = global)
+    std::uint64_t addr = 0;   ///< affected trace head / pc (0 = unknown)
     std::uint64_t value = 0;  ///< action-specific magnitude (see action)
 };
 

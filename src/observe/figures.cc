@@ -436,32 +436,6 @@ const Cycle kIntervals[] = {1'000u, 2'000u, 4'000u, 8'000u, 16'000u};
 const char *const kRevertWorkloads[] = {"shuffled-walk", "gcc", "vortex",
                                         "mcf"};
 
-/**
- * The adversarial case for §3: a fully shuffled linked list, where the
- * induction-pointer heuristic issues useless prefetches that pollute
- * the caches and waste bus bandwidth, so the optimized trace is *worse*
- * than the original.
- */
-hir::Program
-shuffledWalk()
-{
-    hir::Program prog;
-    prog.name = "shuffled-walk";
-    int list = workloads::linkedList(prog, "nodes", 12'000, 96, 1.0);
-    // Warm-up traversal so the hot phase is profiled against the list
-    // already resident in L3.
-    hir::LoopBody warm;
-    warm.chases.push_back({list, 8});
-    workloads::phase(prog, workloads::addLoop(prog, "warm", 11'900, warm),
-                     1);
-    hir::LoopBody body;
-    body.chases.push_back({list, 8});
-    body.extraIntOps = 6;
-    workloads::phase(prog, workloads::addLoop(prog, "walk", 11'900, body),
-                     40);
-    return prog;
-}
-
 /** The sweep points at the arms' own setting (k=3, R=4000) are the
  *  O2Adore/O2Monitor arms themselves, so they read those runs instead
  *  of simulating the same configuration again. */
@@ -512,7 +486,7 @@ ablationJobs(FigurePlan &plan, Jobs &jobs)
         plan.need(name, Arm::O2Base);
         plan.need(name, Arm::O2Adore);
         RunConfig cfg = armConfig(Arm::O2Adore);
-        cfg.adoreConfig.guardrails.enabled = true;
+        cfg.adoreConfig.guardrails = true;
         jobs.push_back({&plan.program(name), cfg});
     }
 }
@@ -559,21 +533,18 @@ renderAblation(const FigurePlan &plan, const Results &runs)
         out += t.render() + "\n";
     }
 
-    out += "3. ADORE vs ADORE + guardrails (staged revert of "
+    out += "3. ADORE vs ADORE + guardrails (revert and blacklist "
            "nonprofitable traces; paper Section 2.3)\n\n";
     {
         Table t({"workload", "ADORE (paper)", "ADORE + guardrails",
-                 "staged/full reverts"});
+                 "reverts"});
         for (const char *name : kRevertWorkloads) {
             const RunMetrics &guarded = runs[job++];
-            const GuardrailStats &gs = guarded.guardrailStats;
             t.addRow({name, Table::pct(o2Speedup(plan, name, Arm::O2Adore)),
                       Table::pct(Experiment::speedup(
                           plan.arm(name, Arm::O2Base).cycles,
                           guarded.cycles)),
-                      fmt("%llu/%llu",
-                          static_cast<unsigned long long>(gs.stagedReverts),
-                          static_cast<unsigned long long>(gs.fullReverts))});
+                      std::to_string(guarded.adoreStats.tracesUnpatched)});
         }
         out += t.render() + "\n";
     }
@@ -620,6 +591,89 @@ buildCatalogue()
 }
 
 } // namespace
+
+hir::Program
+shuffledWalk()
+{
+    hir::Program prog;
+    prog.name = "shuffled-walk";
+    int list = workloads::linkedList(prog, "nodes", 12'000, 96, 1.0);
+    // Warm-up traversal so the hot phase is profiled against the list
+    // already resident in L3.
+    hir::LoopBody warm;
+    warm.chases.push_back({list, 8});
+    workloads::phase(prog, workloads::addLoop(prog, "warm", 11'900, warm),
+                     1);
+    hir::LoopBody body;
+    body.chases.push_back({list, 8});
+    body.extraIntOps = 6;
+    workloads::phase(prog, workloads::addLoop(prog, "walk", 11'900, body),
+                     40);
+    return prog;
+}
+
+hir::Program
+storeStreamMix()
+{
+    hir::Program prog;
+    prog.name = "store-stream-mix";
+    // Six streams, every other one stored, each touching a new line
+    // per iteration: more line fills than the bus can carry.
+    hir::LoopBody body;
+    for (int s = 0; s < 6; ++s) {
+        int a = workloads::intStream(prog, "s" + std::to_string(s),
+                                     256 * 1024);
+        body.refs.push_back(workloads::direct(a, 8, s % 2 == 1));
+    }
+    workloads::phase(prog, workloads::addLoop(prog, "mix", 32 * 1024,
+                                              body),
+                     6);
+    return prog;
+}
+
+hir::Program
+alternatingIndirect()
+{
+    hir::Program prog;
+    prog.name = "alternating-indirect";
+    std::vector<int> loops;
+    for (int l = 0; l < 6; ++l) {
+        std::string n = std::to_string(l);
+        int target = workloads::intStream(prog, "t" + n, 256 * 1024);
+        int idx = workloads::indexArray(prog, "i" + n, 2 * 1024,
+                                        256 * 1024);
+        hir::LoopBody body;
+        body.refs.push_back(workloads::indirect(target, idx));
+        body.extraIntOps = 2;
+        loops.push_back(workloads::addLoop(prog, "ind" + n, 2 * 1024,
+                                           body));
+    }
+    workloads::phase(prog, loops, 45);
+    return prog;
+}
+
+hir::Program
+scatteredLoops()
+{
+    hir::Program prog;
+    prog.name = "scattered-loops";
+    // Five phases of eight hot loops each; every phase selects a fresh
+    // set of large loop traces, so the bounded pool runs out.
+    for (int p = 0; p < 5; ++p) {
+        std::vector<int> loops;
+        for (int l = 0; l < 8; ++l) {
+            std::string n = std::to_string(p * 8 + l);
+            int a = workloads::intStream(prog, "a" + n, 16 * 1024);
+            hir::LoopBody body;
+            body.refs.push_back(workloads::direct(a, 8));
+            body.extraIntOps = 24;
+            loops.push_back(workloads::addLoop(prog, "walk" + n, 2 * 1024,
+                                               body));
+        }
+        workloads::phase(prog, loops, 9);
+    }
+    return prog;
+}
 
 RunConfig
 armConfig(Arm arm)

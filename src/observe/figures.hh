@@ -91,6 +91,28 @@ std::string fmt(const char *format, ...);
 std::string signedPct(double speedup);
 
 /**
+ * The guardrail's adversarial set (DESIGN.md §10): restricted-O2
+ * programs built to make ADORE's optimizations nonprofitable or its
+ * failure paths fire, each at most ~20M cycles.
+ *
+ * shuffledWalk is ablation §3's case: a fully shuffled linked list,
+ * where the induction-pointer heuristic issues useless prefetches that
+ * pollute the caches and waste bus bandwidth, so the optimized trace is
+ * *worse* than the original.  storeStreamMix runs six streams, three
+ * of them stores, to saturate the bus; alternatingIndirect cycles six
+ * 2K-trip indirect loops in one phase; scatteredLoops spreads 40 loops
+ * over the text, eight hot per phase, to exhaust a trace pool of
+ * kScatteredPoolBundles.
+ */
+hir::Program shuffledWalk();
+hir::Program storeStreamMix();
+hir::Program alternatingIndirect();
+hir::Program scatteredLoops();
+
+/** The trace-pool bound (bundles) scatteredLoops is run with. */
+inline constexpr std::size_t kScatteredPoolBundles = 256;
+
+/**
  * The simulations a set of entries needs, and after run() their
  * results.  Planning builds programs and job lists only; nothing is
  * simulated before run().

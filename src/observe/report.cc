@@ -281,47 +281,24 @@ markdownReport(const ScenarioResult &r)
                static_cast<unsigned long long>(
                    opt.memStats.prefetchesUseless));
 
-    out << "## Guardrails\n\n";
+    out << "## Guardrail\n\n";
     const RunMetrics &g_m = opt;
-    if (g_m.guardrailsUsed) {
-        const GuardrailStats &gs = g_m.guardrailStats;
-        out << "| guardrail | activations |\n|---|---|\n";
-        out << fmt("| staged trace reverts | %llu |\n",
-                   static_cast<unsigned long long>(gs.stagedReverts));
-        out << fmt("| full batch reverts | %llu |\n",
-                   static_cast<unsigned long long>(gs.fullReverts));
-        out << fmt("| re-optimizations blocked (backoff) | %llu |\n",
-                   static_cast<unsigned long long>(gs.reoptBlocked));
-        out << fmt("| heads blacklisted | %llu |\n",
-                   static_cast<unsigned long long>(gs.headsBlacklisted));
-        out << fmt("| sampling backoffs / restores | %llu / %llu |\n",
-                   static_cast<unsigned long long>(gs.samplingBackoffs),
-                   static_cast<unsigned long long>(gs.samplingRestores));
-        out << fmt("| prefetch damped / disabled / restored | "
-                   "%llu / %llu / %llu |\n",
-                   static_cast<unsigned long long>(gs.prefetchDamped),
-                   static_cast<unsigned long long>(gs.prefetchDisabled),
-                   static_cast<unsigned long long>(gs.prefetchRestored));
-        out << fmt("| trace-pool rejections | %llu |\n",
-                   static_cast<unsigned long long>(
-                       gs.poolExhaustedRejects));
-        out << fmt("| patch failures absorbed | %llu |\n",
-                   static_cast<unsigned long long>(gs.patchFailures));
-        out << fmt("| watchdog fires | %llu |\n",
-                   static_cast<unsigned long long>(gs.watchdogFires));
-    } else {
-        out << "Guardrails disabled for this run (enable with "
-               "`AdoreConfig::guardrails.enabled`; the chaos driver "
-               "`adore_chaos` exercises them under fault "
-               "injection).\n";
-    }
+    out << (g_m.guardrailsUsed
+                ? "On: an in-pool phase whose CPI regressed past its "
+                  "batch's pre-optimization CPI reverts its trace and "
+                  "blacklists the head.\n"
+                : "Off for this run (enable with "
+                  "`AdoreConfig::guardrails`; the chaos driver "
+                  "`adore_chaos` runs it under fault injection).\n");
     out << fmt("\nRuntime revert state: %llu batch(es) reverted, "
                "%llu trace(s) unpatched, %llu pool-full rejection(s), "
-               "%llu patch failure(s).\n",
+               "%llu patch failure(s), %llu watchdog cancel(s).\n",
                static_cast<unsigned long long>(st.phasesReverted),
                static_cast<unsigned long long>(st.tracesUnpatched),
                static_cast<unsigned long long>(st.tracesRejectedPoolFull),
-               static_cast<unsigned long long>(st.tracesPatchFailed));
+               static_cast<unsigned long long>(st.tracesPatchFailed),
+               static_cast<unsigned long long>(
+                   st.phasesWatchdogCancelled));
     if (g_m.faultsUsed) {
         out << fmt("Injected faults: %llu total (see `fault.*` metrics "
                    "for the per-channel split).\n",

@@ -119,20 +119,6 @@ class Sampler
     void setFaultPlan(fault::FaultPlan *plan) { faults_ = plan; }
 
     /**
-     * Retime the sampler to @p interval cycles per sample (the
-     * guardrails' sampling-rate backoff).  Takes effect from the next
-     * sample; callers outside a Cpu event service must refresh the
-     * Cpu's event watermark (Cpu::noteEventSourcesChanged).
-     */
-    void
-    setInterval(Cycle interval)
-    {
-        config_.interval = interval ? interval : 1;
-    }
-
-    Cycle interval() const { return config_.interval; }
-
-    /**
      * Record one sample; called by the CPU when the cycle counter crosses
      * the sampling interval.
      * @return overhead cycles to charge to the main thread.

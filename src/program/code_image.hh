@@ -59,7 +59,7 @@ class CodeImage
      * badAddr instead of panicking when the reservation would exceed
      * the configured pool capacity.  The pool is left untouched on
      * refusal, so the caller can retry with a smaller trace or treat
-     * exhaustion as a recoverable fault (the guardrail path).
+     * exhaustion as a recoverable fault (AdoreRuntime::commitTrace).
      */
     Addr tryAllocTrace(std::size_t bundles);
 

@@ -45,11 +45,6 @@ AdoreRuntime::attach()
         sampler_.setFaultPlan(config_.faultPlan);
     if (config_.tracePoolCapacityBundles)
         cpu_.code().setPoolCapacity(config_.tracePoolCapacityBundles);
-    if (config_.guardrails.enabled) {
-        guardrails_ = std::make_unique<Guardrails>(config_.guardrails);
-        guardrails_->setEventTrace(events_);
-    }
-    baseSamplingInterval_ = config_.sampler.interval;
 
     phaseDetector_.setDoubleWindowCallback([this] {
         ++stats_.windowDoublings;
@@ -75,15 +70,11 @@ AdoreRuntime::onPoll(Cycle now)
 {
     if (events_)
         events_->setNow(now);
-    if (guardrails_)
-        guardrails_->beginPoll();
 
     consumeWindows(now);
 
     if (config_.faultPlan && events_)
         emitFaultDeltas();
-    if (guardrails_)
-        endPollGuardrails();
 }
 
 void
@@ -114,8 +105,6 @@ AdoreRuntime::consumeWindows(Cycle now)
             break;
           case PhaseDetector::Event::PhaseChange:
             ++stats_.phaseChanges;
-            if (guardrails_)
-                guardrails_->notePhaseChange();
             break;
           case PhaseDetector::Event::StablePhase: {
             ++stats_.phasesDetected;
@@ -123,9 +112,9 @@ AdoreRuntime::consumeWindows(Cycle now)
             if (CodeImage::inPool(phase.pcCenter)) {
                 // Already running out of the trace pool: skip to avoid
                 // re-optimization (Section 2.3) — but keep monitoring:
-                // with guardrails on, a batch whose in-pool CPI
+                // with guardrails on, a trace whose in-pool CPI
                 // regressed past the pre-optimization level is
-                // unpatched in stages.
+                // reverted.
                 ++stats_.phasesSkippedInPool;
                 if (events_) {
                     events_->emit(observe::PhaseSkippedEvent{
@@ -133,8 +122,8 @@ AdoreRuntime::consumeWindows(Cycle now)
                         batches_.empty() ? 0.0
                                          : batches_.back().cpiBefore});
                 }
-                if (guardrails_)
-                    guardrailProfitabilityCheck(phase);
+                if (config_.guardrails)
+                    revertIfRegressed(phase);
             } else if (!phase.highMissRate) {
                 ++stats_.phasesSkippedLowMiss;
                 if (events_) {
@@ -176,30 +165,11 @@ AdoreRuntime::emitFaultDeltas()
 }
 
 void
-AdoreRuntime::endPollGuardrails()
+AdoreRuntime::revertIfRegressed(const PhaseInfo &phase)
 {
-    const HierarchyStats &mem = cpu_.caches().stats();
-    std::uint64_t issued = mem.prefetchesIssued - lastPrefetchesIssued_;
-    std::uint64_t dropped = mem.prefetchesDropped - lastPrefetchesDropped_;
-    lastPrefetchesIssued_ = mem.prefetchesIssued;
-    lastPrefetchesDropped_ = mem.prefetchesDropped;
-    guardrails_->noteMemPressure(issued, dropped);
-    guardrails_->endPoll();
-
-    // Apply sampling-rate backoff.  The poll runs inside a Cpu periodic
-    // hook and the Cpu recomputes its event watermark after hooks, so
-    // the retimed interval takes effect from the next sample.
-    Cycle want = baseSamplingInterval_ * guardrails_->samplingMultiplier();
-    if (sampler_.interval() != want)
-        sampler_.setInterval(want);
-}
-
-void
-AdoreRuntime::guardrailProfitabilityCheck(const PhaseInfo &phase)
-{
-    // Per-trace monitoring: attribute the in-pool phase to the patched
-    // trace whose pool range holds the phase's PCcenter, newest batch
-    // first (pool ranges are unique per commit).
+    // Attribute the in-pool phase to the patched trace whose pool range
+    // holds the phase's PCcenter, newest batch first (pool ranges are
+    // unique per commit).
     for (std::size_t bi = batches_.size(); bi-- > 0;) {
         OptimizedBatch &batch = batches_[bi];
         if (batch.reverted)
@@ -209,28 +179,8 @@ AdoreRuntime::guardrailProfitabilityCheck(const PhaseInfo &phase)
                 phase.pcCenter >= t.poolEnd) {
                 continue;
             }
-            if (!cpu_.code().isPatched(t.head))
-                return;  // already individually reverted
-            if (phase.cpi <= batch.cpiBefore *
-                                 config_.guardrails.revertCpiRatio) {
-                return;  // profitable enough: leave it in
-            }
-            if (batch.revertStage == 0) {
-                // Stage 1: surgically revert only the offending trace.
-                batch.revertStage = 1;
-                if (unpatchHead(batch, t.head, false))
-                    guardrails_->noteStagedRevert(t.head);
-            } else {
-                // Stage 2: the batch regressed again — revert the rest.
-                std::uint64_t n = 0;
-                Addr first = t.head;
-                for (const PatchedTrace &u : batch.traces) {
-                    if (unpatchHead(batch, u.head, false))
-                        ++n;
-                }
-                batch.revertStage = 2;
-                guardrails_->noteFullRevert(first, n);
-            }
+            if (phase.cpi > batch.cpiBefore * kRevertCpiRatio)
+                unpatchHead(batch, t.head);
             return;
         }
     }
@@ -271,8 +221,11 @@ AdoreRuntime::commitTrace(const Trace &trace,
     // is skipped and may be retried on a later phase.
     if (config_.faultPlan && config_.faultPlan->patchFails()) {
         ++stats_.tracesPatchFailed;
-        if (guardrails_)
-            guardrails_->notePatchFailed(trace.startAddr);
+        if (events_) {
+            events_->emit(observe::GuardrailEvent{
+                "patch-failed", trace.startAddr,
+                static_cast<std::uint64_t>(total)});
+        }
         return CodeImage::badAddr;
     }
 
@@ -282,9 +235,7 @@ AdoreRuntime::commitTrace(const Trace &trace,
     if (base == CodeImage::badAddr) {
         // Trace-pool exhaustion: reject, record, continue running.
         ++stats_.tracesRejectedPoolFull;
-        if (guardrails_) {
-            guardrails_->notePoolExhausted(trace.startAddr);
-        } else if (events_) {
+        if (events_) {
             events_->emit(observe::GuardrailEvent{
                 "pool-exhausted", trace.startAddr,
                 static_cast<std::uint64_t>(total)});
@@ -338,7 +289,7 @@ AdoreRuntime::commitTrace(const Trace &trace,
 }
 
 bool
-AdoreRuntime::unpatchHead(OptimizedBatch &batch, Addr head, bool blacklist)
+AdoreRuntime::unpatchHead(OptimizedBatch &batch, Addr head)
 {
     if (!cpu_.code().isPatched(head))
         return false;
@@ -348,10 +299,7 @@ AdoreRuntime::unpatchHead(OptimizedBatch &batch, Addr head, bool blacklist)
     ++stats_.tracesUnpatched;
     if (events_)
         events_->emit(observe::TraceRevertedEvent{head});
-    if (blacklist || !guardrails_)
-        blacklist_.insert(head);
-    else
-        guardrails_->noteTraceReverted(head);
+    blacklist_.insert(head);
     cpu_.chargeCycles(config_.patchCyclesPerTrace);
 
     bool anyPatched = false;
@@ -382,20 +330,6 @@ AdoreRuntime::patchedHeadsOf(std::size_t index) const
 }
 
 bool
-AdoreRuntime::revertTrace(Addr head)
-{
-    // Newest batch first: a head whose backoff expired may have been
-    // re-optimized into a later batch.
-    for (auto it = batches_.rbegin(); it != batches_.rend(); ++it) {
-        for (const PatchedTrace &t : it->traces) {
-            if (t.head == head)
-                return unpatchHead(*it, head, true);
-        }
-    }
-    return false;
-}
-
-bool
 AdoreRuntime::revertBatchAt(std::size_t index)
 {
     if (index >= batches_.size())
@@ -405,7 +339,7 @@ AdoreRuntime::revertBatchAt(std::size_t index)
         return false;
     bool any = false;
     for (const PatchedTrace &t : batch.traces) {
-        if (unpatchHead(batch, t.head, true))
+        if (unpatchHead(batch, t.head))
             any = true;
     }
     return any;
@@ -415,16 +349,13 @@ void
 AdoreRuntime::optimizePhase()
 {
     // Virtual-cycle watchdog: an injected optimizer stall beyond the
-    // deadline cancels the phase before any work is done and degrades
-    // via the guardrail throttle.
+    // deadline cancels the phase before any work is done.
     if (config_.faultPlan) {
         std::uint64_t stall = config_.faultPlan->optimizerStall();
         if (stall > config_.watchdogDeadlineCycles) {
             const Addr pcCenter = phaseDetector_.current().pcCenter;
             ++stats_.phasesWatchdogCancelled;
-            if (guardrails_) {
-                guardrails_->noteWatchdogFire(pcCenter, stall);
-            } else if (events_) {
+            if (events_) {
                 events_->emit(observe::GuardrailEvent{
                     "watchdog-cancel", pcCenter, stall});
             }
@@ -442,12 +373,6 @@ AdoreRuntime::optimizePhase()
     bool any_patched = false;
     bool any_prefetched = false;
 
-    // Auto-throttle: under bus saturation the guardrails damp (1) or
-    // disable (0) prefetch generation per trace.
-    int load_cap = config_.maxPrefetchLoadsPerTrace;
-    if (guardrails_)
-        load_cap = guardrails_->prefetchLoadCap(load_cap);
-
     for (Trace &trace : traces) {
         ++stats_.tracesSelected;
         if (trace.isLoop)
@@ -464,9 +389,6 @@ AdoreRuntime::optimizePhase()
         }
         if (blacklist_.count(trace.startAddr)) {
             continue;  // previously reverted as nonprofitable
-        }
-        if (guardrails_ && !guardrails_->allowOptimize(trace.startAddr)) {
-            continue;  // reverted head still in re-optimization backoff
         }
         if (config_.swpLoopFilter &&
             config_.swpLoopFilter(trace.startAddr)) {
@@ -488,8 +410,7 @@ AdoreRuntime::optimizePhase()
             continue;
 
         PrefetchGenResult gen;
-        bool throttled_off = guardrails_ && load_cap == 0;
-        if (trace.isLoop && !throttled_off) {
+        if (trace.isLoop) {
             // Delinquent loads of this trace, hottest first (top-3).
             std::vector<DelinquentLoad> loads;
             DependenceSlicer slicer(trace, events_);
@@ -517,8 +438,10 @@ AdoreRuntime::optimizePhase()
                               return a.totalLatency > b.totalLatency;
                           return a.origPc < b.origPc;
                       });
-            if (loads.size() > static_cast<std::size_t>(load_cap))
-                loads.resize(static_cast<std::size_t>(load_cap));
+            auto cap = static_cast<std::size_t>(
+                config_.maxPrefetchLoadsPerTrace);
+            if (loads.size() > cap)
+                loads.resize(cap);
 
             if (events_) {
                 for (const DelinquentLoad &dl : loads) {

@@ -31,7 +31,6 @@
 #include "cpu/cpu.hh"
 #include "fault/fault_plan.hh"
 #include "observe/event_trace.hh"
-#include "runtime/guardrails.hh"
 #include "runtime/phase_detector.hh"
 #include "runtime/prefetch_gen.hh"
 #include "runtime/trace_selector.hh"
@@ -39,6 +38,11 @@
 
 namespace adore
 {
+
+/** The guardrail's regression threshold: an in-pool phase whose CPI
+ *  exceeds this multiple of its batch's pre-optimization CPI has its
+ *  trace reverted (AdoreConfig::guardrails). */
+inline constexpr double kRevertCpiRatio = 1.05;
 
 struct AdoreConfig
 {
@@ -66,15 +70,15 @@ struct AdoreConfig
      */
     std::function<bool(Addr)> swpLoopFilter;
     /**
-     * Self-healing guardrails (DESIGN.md §10): staged per-trace revert
-     * with re-optimization backoff, sampling-rate backoff on phase
-     * thrash, prefetch auto-throttle, and recoverable resource
-     * failures.  Off by default to match the paper's system; the
-     * staged revert is the paper's Section 2.3 "detect and fix
-     * nonprofitable ones", which their implementation did not do
+     * The guardrail (DESIGN.md §10), the paper's Section 2.3 "detect
+     * and fix nonprofitable ones", which their implementation did not
+     * do: when a stable phase re-forms in the trace pool with CPI above
+     * kRevertCpiRatio times its batch's pre-optimization CPI, the trace
+     * whose pool range holds the phase's PCcenter is reverted and its
+     * head blacklisted.  Off by default to match the paper's system
      * (`adore_report --figure ablation` §3 measures it).
      */
-    GuardrailConfig guardrails{};
+    bool guardrails = false;
     /**
      * Fault-injection plan (not owned; may be null).  Wired into the
      * sampler at attach(); the memory-system channels are wired by the
@@ -96,8 +100,7 @@ struct AdoreConfig
     /**
      * Deterministic watchdog deadline in virtual cycles: an injected
      * optimizer stall (FaultConfig::optimizerStallRate) longer than
-     * this cancels the phase optimization and degrades via the
-     * guardrail throttle.
+     * this cancels the phase optimization.
      */
     Cycle watchdogDeadlineCycles = 150'000;
 };
@@ -185,23 +188,11 @@ class AdoreRuntime
     PhaseDetector &phaseDetector() { return phaseDetector_; }
     observe::EventTrace *events() const { return events_; }
 
-    /** Guardrail state machines (null unless enabled in the config). */
-    const Guardrails *guardrails() const { return guardrails_.get(); }
-
     /** Optimization batches committed so far (including reverted). */
     std::size_t batchCount() const { return batches_.size(); }
 
     /** Heads of batch @p index that are still patched. */
     std::vector<Addr> patchedHeadsOf(std::size_t index) const;
-
-    /**
-     * Revert a single optimized trace by its original head address —
-     * any trace of any batch, not just the most recent.  Unpatches the
-     * head, blacklists it, counts tracesUnpatched, and completes the
-     * owning batch (phasesReverted) when its last head goes.
-     * @return false when @p head is unknown or already unpatched.
-     */
-    bool revertTrace(Addr head);
 
     /**
      * Revert every still-patched trace of batch @p index (any batch,
@@ -251,24 +242,18 @@ class AdoreRuntime
         double cpiBefore = 0.0;
         std::vector<PatchedTrace> traces;
         bool reverted = false;  ///< no patched head remains
-        int revertStage = 0;    ///< guardrail staged-revert progress
     };
 
     /**
-     * Unpatch one head of @p batch (stats + event + charge); marks the
-     * batch reverted when its last head goes.  @p blacklist routes the
-     * head to the permanent blacklist (external reverts) instead of the
-     * guardrails' backoff.  @return false when not patched.
+     * Unpatch and blacklist one head of @p batch (stats + event +
+     * charge); marks the batch reverted when its last head goes.
+     * @return false when not patched.
      */
-    bool unpatchHead(OptimizedBatch &batch, Addr head, bool blacklist);
+    bool unpatchHead(OptimizedBatch &batch, Addr head);
 
-    /** Guardrail staged revert for an in-pool phase that regressed. */
-    void guardrailProfitabilityCheck(const PhaseInfo &phase);
-
-    /** End-of-poll guardrail feeding: feed the sw/hw prefetch
-     *  issue/drop deltas, advance the state machines, retime the
-     *  sampler. */
-    void endPollGuardrails();
+    /** The guardrail: revert the trace an in-pool phase that regressed
+     *  past its batch's pre-optimization CPI runs in. */
+    void revertIfRegressed(const PhaseInfo &phase);
 
     /** Emit per-channel FaultInjectedEvents for this poll's deltas. */
     void emitFaultDeltas();
@@ -288,11 +273,6 @@ class AdoreRuntime
     std::vector<OptimizedBatch> batches_;
     /** Heads of reverted traces: never re-optimized. */
     std::unordered_set<Addr> blacklist_;
-    /** Guardrail state machines; null unless enabled. */
-    std::unique_ptr<Guardrails> guardrails_;
-    Cycle baseSamplingInterval_ = 0;  ///< pre-backoff sampling interval
-    std::uint64_t lastPrefetchesIssued_ = 0;
-    std::uint64_t lastPrefetchesDropped_ = 0;
     fault::FaultStats lastFaultStats_;  ///< per-poll delta reference
 };
 

@@ -157,6 +157,12 @@ validateProgram(const hir::Program &prog, std::uint64_t max_data_bytes)
         if (l.payloadIsPointer && (l.payloadPtrOffset > l.nodeBytes - 8 ||
                                    l.payloadPtrOffset % 8 != 0))
             return who + ": payload pointer outside the node or unaligned";
+        // Payload targets lie within the window's nodes (0 = the whole
+        // list), so a wider window points past the list.
+        if (l.payloadIsPointer && l.payloadPtrWindow > l.count)
+            return who + fmt(": payload window %" PRIu64
+                             " exceeds the list's %" PRIu64 " nodes",
+                             l.payloadPtrWindow, l.count);
         if (std::string err = addData(l.count, l.nodeBytes); !err.empty())
             return who + ": " + err;
     }

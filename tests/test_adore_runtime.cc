@@ -313,12 +313,11 @@ TEST(OptimizerService, VirtualWatchdogCancelsStalledPhase)
 {
     // Every optimizePhase entry draws a 400k-cycle injected stall,
     // which exceeds the 150k-cycle deadline: the deterministic watchdog
-    // must cancel every optimization attempt, patch nothing, and step
-    // the guardrail throttle down.
+    // must cancel every optimization attempt and patch nothing.
     RunConfig cfg = baseConfig();
     cfg.adore = true;
     cfg.adoreConfig = Experiment::defaultAdoreConfig();
-    cfg.adoreConfig.guardrails.enabled = true;
+    cfg.adoreConfig.guardrails = true;
     cfg.faults.optimizerStallRate = 1.0;
     cfg.faults.seed = 3;
     cfg.maxCycles = 8'000'000ULL;
@@ -329,9 +328,6 @@ TEST(OptimizerService, VirtualWatchdogCancelsStalledPhase)
     EXPECT_GE(m.adoreStats.phasesWatchdogCancelled, 1u);
     EXPECT_EQ(m.adoreStats.tracesPatched, 0u);
     EXPECT_GE(m.faultStats.optimizerStalls, 1u);
-    EXPECT_EQ(m.guardrailStats.watchdogFires,
-              m.adoreStats.phasesWatchdogCancelled);
-    EXPECT_GE(m.guardrailStats.prefetchDamped, 1u);
 }
 
 } // namespace

@@ -35,7 +35,7 @@ chaoticConfig(std::uint64_t seed)
     cfg.faults.seed = seed;
     cfg.adore = true;
     cfg.adoreConfig = Experiment::defaultAdoreConfig();
-    cfg.adoreConfig.guardrails.enabled = true;
+    cfg.adoreConfig.guardrails = true;
     return cfg;
 }
 

@@ -152,15 +152,21 @@ TEST(Generator, ParserRejectsOverflowingDataDeclarations)
         "ref loop=0 array=0 stride=1 offset=0 store=0 index=-1 "
         "fpconv=0\n"
         "phase repeat=1 loops=0\nend\n";
-    auto list = [](const std::string &fields) {
-        return "list n " + fields + " jumble=0 ptr_window=0\n";
+    auto list = [](const std::string &fields,
+                   const std::string &window = "0") {
+        return "list n " + fields + " jumble=0 ptr_window=" + window +
+               "\n";
     };
+    const std::string payload =
+        "count=100 node=16 next=8 payload_ptr=1 ptr_off=0";
     hir::Program out;
     std::string err;
-    ASSERT_TRUE(workloads::parseProgram(
-        head + list("count=100 node=16 next=8 payload_ptr=1 ptr_off=0") +
-            tail,
-        out, err))
+    ASSERT_TRUE(workloads::parseProgram(head + list(payload) + tail, out,
+                                        err))
+        << err;
+    // A window of every node is the widest that stays inside the list.
+    ASSERT_TRUE(workloads::parseProgram(head + list(payload, "100") + tail,
+                                        out, err))
         << err;
     for (const std::string &bad : {
              list("count=100 node=16 next=18446744073709551608 "
@@ -173,6 +179,9 @@ TEST(Generator, ParserRejectsOverflowingDataDeclarations)
              // 64 KiB page.
              list("count=100 node=16 next=4 payload_ptr=0 ptr_off=8"),
              list("count=100 node=16 next=0 payload_ptr=1 ptr_off=4"),
+             // Payload targets past the list: up to 16 GB past it.
+             list(payload, "1000000000"),
+             list(payload, "101"),
              std::string("array b elem=8 count=2305843009213693952 fp=0 "
                          "param=0 init=0 range=0\n"),
          }) {

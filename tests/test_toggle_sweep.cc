@@ -157,7 +157,7 @@ configFor(const Variant &v, bool flipped)
     if (v.chaos) {
         cfg.faults = defaultChaosFaults();
         cfg.faults.seed = 7;
-        cfg.adoreConfig.guardrails.enabled = true;
+        cfg.adoreConfig.guardrails = true;
         cfg.adoreConfig.tracePoolCapacityBundles = 768;
     }
     switch (v.toggle) {
